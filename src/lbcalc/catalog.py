@@ -153,15 +153,18 @@ class MapCase:
     epsilon: float
     setup: object  # () -> (f, out_norm, scale, sup_on_ball)
 
-    def certificate(self) -> ContinuityCertificate:
-        _, _, _, sup = self.setup()
+    def _certificate(self, sup: float) -> ContinuityCertificate:
         factor = self.radius / (self.radius - 2.0 * math.e * self.r)
         sups = [factor * sup] * 3
         return build_certificate(sups, self.radius, self.r, self.epsilon)
 
+    def certificate(self) -> ContinuityCertificate:
+        return self._certificate(self.setup()[3])
+
     def bundle(self):
-        f, out_norm, scale, _ = self.setup()
-        return f, out_norm, scale, self.certificate()
+        """(f, out_norm, scale, certificate) from one call of setup."""
+        f, out_norm, scale, sup = self.setup()
+        return f, out_norm, scale, self._certificate(sup)
 
 
 def _germ_product(g: Germ, h: Germ) -> Germ:

@@ -18,7 +18,7 @@ One executable, twelve verbs, JSON in and JSON out:
 Exit codes: 0 success or verdict true, 1 verdict false, 2 usage error,
 3 domain error (the violated precondition is printed verbatim).  The bch
 verb dispatches on its input schema: matrix JSON runs the matrix
-combination, series JSON runs the frequency-lattice one.  Reports carry a
+combination, series JSON runs the Dirichlet series one.  Reports carry a
 "guarantee" field naming the bound the output is certified against.
 Identical argv, seed and inputs produce byte-identical reports; --seed
 falls back to the LBCALC_SEED environment variable, then 0.
@@ -84,47 +84,6 @@ VERBS = (
     "modulus-germ",
     "suite",
 )
-
-# documented operation surface -> verbs that reach it; the suite verb runs
-# the acceptance battery, which exercises the starred entries again
-VERB_OPERATIONS = {
-    "bch": ("bch", "bch_series", "compatible_norm", "norm_s"),
-    "dirichlet-bracket": ("bracket", "norm_s"),
-    "dirichlet-norm": ("norm_s",),
-    "dirichlet-eval": ("evaluate", "exp_pointwise", "leading_coefficient"),
-    "germ-compose": ("compose", "sup_norm", "d_norm", "derivative_bound"),
-    "germ-invert": ("invert", "residual", "sup_norm"),
-    "estimate-verify": (
-        "verify_bounded_series",
-        "cauchy_directional_coefficient",
-        "polarization_factor",
-    ),
-    "limit-certify": ("build_certificate",),
-    "limit-verify": ("verify_certificate", "neighborhood_contains", "build_certificate"),
-    "modulus-dirichlet": ("dirichlet_regularity_modulus",),
-    "modulus-germ": ("germ_regularity_modulus",),
-    "suite": (
-        "bch", "mat_exp", "mat_log", "compatible_norm",
-        "bch_series", "bracket", "evaluate", "exp_pointwise", "norm_s",
-        "compose", "compose_derivative", "invert", "residual", "sup_norm", "d_norm",
-        "verify_bounded_series", "cauchy_directional_coefficient", "polarization_factor",
-        "build_certificate", "verify_certificate", "neighborhood_contains",
-        "dirichlet_regularity_modulus", "germ_regularity_modulus",
-    ),
-}
-
-PUBLIC_OPERATIONS = (
-    "compatible_norm", "mat_exp", "mat_log", "bch",
-    "norm_s", "bracket", "evaluate", "bch_series", "exp_pointwise",
-    "leading_coefficient",
-    "sup_norm", "d_norm", "compose", "compose_derivative", "invert", "residual",
-    "derivative_bound",
-    "cauchy_directional_coefficient", "polarization_factor", "verify_bounded_series",
-    "neighborhood_contains", "build_certificate", "verify_certificate",
-    "dirichlet_regularity_modulus", "germ_regularity_modulus",
-    "parse", "execute",
-)
-
 
 @dataclass
 class Command:
@@ -354,21 +313,27 @@ def _run_germ_invert(cmd: Command):
 
 
 def _family_from_json(obj, degree: int, probe: bool):
-    if not isinstance(obj, dict) or "family" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("family"), list):
         raise ValidationError("estimate input must be an object with a 'family' list")
     members = []
     for k, entry in enumerate(obj["family"]):
-        terms = {}
-        for t in entry["terms"]:
-            terms[tuple(int(a) for a in t["alpha"])] = np.asarray(
-                [complex(c[0], c[1]) if isinstance(c, list) else complex(c) for c in t["coeff"]]
-            )
+        try:
+            terms = {}
+            for t in entry["terms"]:
+                terms[tuple(int(a) for a in t["alpha"])] = np.asarray(
+                    [complex(c[0], c[1]) if isinstance(c, list) else complex(c) for c in t["coeff"]]
+                )
+            center = entry.get("center", [0.0] * len(next(iter(terms), ())))
+            center = np.asarray(center, dtype=np.complex128).reshape(-1)
+            radius = float(entry["radius"])
+        except KeyError as exc:
+            raise ValidationError(f"family member {k} is missing the {exc} field")
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ValidationError(f"family member {k} is malformed: {exc}")
+        if center.size == 0:
+            raise ValidationError(f"family member {k} needs a 'center' or at least one term")
         sample = sample_from_polynomial(
-            terms,
-            np.asarray(entry.get("center", [0.0] * len(next(iter(terms))))),
-            float(entry["radius"]),
-            degree=degree,
-            label=entry.get("label", f"member-{k}"),
+            terms, center, radius, degree=degree, label=entry.get("label", f"member-{k}")
         )
         if probe:
             sample = catalog._strip_majorants(sample)

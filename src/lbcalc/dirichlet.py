@@ -9,7 +9,7 @@ right half plane.  Because the support is finite every half-plane norm
 is a finite sum and all operations here are exact up to rounding: the
 convolution bracket keeps its full support (products of finite supports are
 finite), evaluation is a plain partial sum, and the BCH product reuses the
-order-by-order bracket plan from `lbcalc.bch`.
+order-by-order bracket plan from `lbcalc.words`.
 
 Coefficients are stored as a frequency-sorted int64 vector plus a stacked
 (support, dim, dim) array; rows that are exactly zero are dropped, which
@@ -115,8 +115,10 @@ class DirichletSeries:
         mats = []
         freqs = []
         for n, a in items:
-            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-                raise ValidationError(f"frequency must be a positive integer, got {n!r}")
+            if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n < 2**63:
+                raise ValidationError(
+                    f"frequency must be a positive integer below 2^63, got {n!r}"
+                )
             arr = as_matrix(a, dim=dim)
             if dim is None:
                 dim = arr.shape[0]
@@ -151,6 +153,14 @@ class DirichletSeries:
         return (-1.0) * self
 
 
+def _series(terms, dim: int) -> DirichletSeries:
+    """Series from (freqs, mats) that are canonical already; nothing is checked."""
+    out = DirichletSeries.__new__(DirichletSeries)
+    out.dim = dim
+    out.freqs, out.mats = terms
+    return out
+
+
 def sum_series(parts, dim: int) -> DirichletSeries:
     """parts[0] + parts[1] + ... for series of dimension `dim`, built once.
 
@@ -161,17 +171,16 @@ def sum_series(parts, dim: int) -> DirichletSeries:
     for p in parts:
         if p.dim != dim:
             raise ValidationError(f"dimension mismatch: {dim} vs {p.dim}")
-    out = DirichletSeries.__new__(DirichletSeries)
-    out.dim = dim
-    if parts:
-        out.freqs, out.mats = _canonical(
+    if not parts:
+        return _series(_canonical(np.zeros(0, dtype=np.int64), None, dim), dim)
+    return _series(
+        _canonical(
             np.concatenate([p.freqs for p in parts]),
             np.concatenate([p.mats for p in parts]),
             dim,
-        )
-    else:
-        out.freqs, out.mats = _canonical(np.zeros(0, dtype=np.int64), None, dim)
-    return out
+        ),
+        dim,
+    )
 
 
 def zero_series(dim: int) -> DirichletSeries:
@@ -215,6 +224,16 @@ def norm_s(gamma: DirichletSeries, s: float) -> float:
     return weighted_norm(gamma.freqs, gamma.mats, s)
 
 
+def _bracket_terms(f1, m1, f2, m2, dim: int):
+    """`bracket` on bare (freqs, mats) pairs: canonicalized once, not validated."""
+    if f1.size == 0 or f2.size == 0:
+        return _canonical(np.zeros(0, dtype=np.int64), None, dim)
+    prod = (f1[:, None] * f2[None, :]).reshape(-1)
+    ab = np.einsum("iab,jbc->ijac", m1, m2)
+    ba = np.einsum("jab,ibc->ijac", m2, m1)
+    return _canonical(prod, (ab - ba).reshape(-1, dim, dim), dim)
+
+
 def bracket(g1: DirichletSeries, g2: DirichletSeries) -> DirichletSeries:
     """Convolution Lie bracket: coefficient at N is sum over n1*n2 = N of [a, b].
 
@@ -222,14 +241,15 @@ def bracket(g1: DirichletSeries, g2: DirichletSeries) -> DirichletSeries:
     """
     if g1.dim != g2.dim:
         raise ValidationError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
-    d = g1.dim
-    if g1.support == 0 or g2.support == 0:
-        return zero_series(d)
-    prod_freqs = (g1.freqs[:, None] * g2.freqs[None, :]).reshape(-1)
-    ab = np.einsum("iab,jbc->ijac", g1.mats, g2.mats)
-    ba = np.einsum("jab,ibc->ijac", g2.mats, g1.mats)
-    comms = (ab - ba).reshape(-1, d, d)
-    return DirichletSeries(prod_freqs, comms, dim=d)
+    if g1.support and g2.support and int(g1.freqs[-1]) * int(g2.freqs[-1]) >= 2**63:
+        raise ValidationError(
+            f"frequency product {int(g1.freqs[-1])} * {int(g2.freqs[-1])} "
+            "leaves the 64-bit integer range"
+        )
+    terms = _bracket_terms(g1.freqs, g1.mats, g2.freqs, g2.mats, g1.dim)
+    if not _all(np.isfinite(terms[1])):
+        raise ValidationError("coefficients must be finite")
+    return _series(terms, g1.dim)
 
 
 def evaluate(gamma: DirichletSeries, z: complex) -> np.ndarray:
@@ -242,122 +262,6 @@ def evaluate(gamma: DirichletSeries, z: complex) -> np.ndarray:
     return np.einsum("p,pab->ab", weights, gamma.mats)
 
 
-def _raw_bracket(f1, m1, f2, m2, dim):
-    """Bracket on bare (freqs, mats) pairs, canonicalized, no validation."""
-    if f1.size == 0 or f2.size == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros((0, dim, dim), dtype=np.complex128)
-    prod = (f1[:, None] * f2[None, :]).reshape(-1)
-    ab = np.einsum("iab,jbc->ijac", m1, m2)
-    ba = np.einsum("jab,ibc->ijac", m2, m1)
-    return _canonical(prod, (ab - ba).reshape(-1, dim, dim), dim)
-
-
-_LATTICE_CAP = 600
-
-
-def _product_lattice(base, order: int, cap: int):
-    """Frequencies reachable as products of at most `order` support members.
-
-    Breadth-first closure in exact integer arithmetic; None when the closure
-    exceeds `cap` (the caller then walks sparsely instead).
-    """
-    seen = set(base)
-    frontier = set(base)
-    for _ in range(order - 1):
-        if len(seen) > cap:
-            return None
-        frontier = {s * f for s in frontier for f in base} - seen
-        if not frontier:
-            break
-        seen |= frontier
-    if len(seen) > cap:
-        return None
-    return sorted(seen)
-
-
-def _dense_scatter(lattice_pos, leaf_freqs):
-    """Static gather/scatter for bracketing a lattice vector with one leaf.
-
-    Returns (parent rows, leaf rows, reduceat starts, output rows); pairs
-    whose product leaves the lattice carry only zero values and are dropped.
-    """
-    pairs = []
-    for s, i in sorted(lattice_pos.items()):
-        for j, f in enumerate(leaf_freqs):
-            o = lattice_pos.get(s * int(f))
-            if o is not None:
-                pairs.append((o, i, j))
-    pairs.sort()
-    out = np.array([p[0] for p in pairs], dtype=np.intp)
-    par = np.array([p[1] for p in pairs], dtype=np.intp)
-    leaf = np.array([p[2] for p in pairs], dtype=np.intp)
-    starts = np.flatnonzero(np.r_[True, out[1:] != out[:-1]]) if out.size else np.zeros(0, np.intp)
-    return par, leaf, starts, out[starts] if out.size else out
-
-
-def _walk_plan_dense(g1, g2, order, lattice):
-    d = g1.dim
-    size = len(lattice)
-    pos = {n: i for i, n in enumerate(lattice)}
-    leaves = []
-    tables = []
-    for g in (g1, g2):
-        dense_rows = np.array([pos[int(n)] for n in g.freqs], dtype=np.intp)
-        leaves.append((dense_rows, g.mats))
-        tables.append(_dense_scatter(pos, [int(n) for n in g.freqs]))
-    plan = _words.evaluation_plan(order)
-    last_use = {}
-    for k, (parent, _, _) in enumerate(plan):
-        if parent is not None:
-            last_use[parent] = k
-    values: list = [None] * len(plan)
-    acc = np.zeros((size, d, d), dtype=np.complex128)
-    for k, (parent, letter, weight) in enumerate(plan):
-        rows, mats = leaves[letter]
-        if parent is None:
-            v = np.zeros((size, d, d), dtype=np.complex128)
-            v[rows] = mats
-        else:
-            par_idx, leaf_idx, starts, out_rows = tables[letter]
-            p = values[parent]
-            v = np.zeros((size, d, d), dtype=np.complex128)
-            if starts.size:
-                a = p[par_idx]
-                b = mats[leaf_idx]
-                comm = a @ b - b @ a
-                v[out_rows] = np.add.reduceat(comm, starts, axis=0)
-            if last_use.get(parent) == k:
-                values[parent] = None
-        values[k] = v
-        if weight:
-            acc += weight * v
-    keep = np.any(acc != 0, axis=(1, 2))
-    return DirichletSeries(
-        np.array(lattice, dtype=np.int64)[keep], acc[keep], dim=d
-    )
-
-
-def _walk_plan_sparse(g1, g2, order):
-    d = g1.dim
-    leaves = ((g1.freqs, g1.mats), (g2.freqs, g2.mats))
-    values = []
-    acc_f, acc_m = [], []
-    for parent, letter, weight in _words.evaluation_plan(order):
-        lf, lm = leaves[letter]
-        if parent is None:
-            v = (lf, lm)
-        else:
-            pf, pm = values[parent]
-            v = _raw_bracket(pf, pm, lf, lm, d)
-        values.append(v)
-        if weight and v[0].size:
-            acc_f.append(v[0])
-            acc_m.append(weight * v[1])
-    if not acc_f:
-        return zero_series(d)
-    return DirichletSeries(np.concatenate(acc_f), np.concatenate(acc_m), dim=d)
-
-
 def bch_series(
     g1: DirichletSeries, g2: DirichletSeries, s: float, order: int
 ) -> DirichletSeries:
@@ -365,9 +269,8 @@ def bch_series(
 
     Gated by norm_s(g1) + norm_s(g2) < log(3/2), the radius within which the
     series converges for any norm with a submultiplicative bracket.  Support
-    is exact: frequency products are never truncated.  When the product
-    closure of the supports is small the plan is walked on a fixed frequency
-    lattice with static scatter tables; otherwise sparsely, term by term.
+    is exact: frequency products are never truncated.  The bracket plan is
+    walked term by term, each node keeping only the frequencies it reaches.
     """
     if g1.dim != g2.dim:
         raise ValidationError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
@@ -377,18 +280,28 @@ def bch_series(
             f"half-plane norm sum {total} is not below log(3/2) = {BCH_DOMAIN_RADIUS}"
         )
     order = _words.checked_order(order)
-    base = sorted({int(n) for n in g1.freqs} | {int(n) for n in g2.freqs})
-    if not base:
-        return zero_series(g1.dim)
-    if max(base) ** order >= 2**62:
+    d = g1.dim
+    tops = [int(g.freqs[-1]) for g in (g1, g2) if g.support]
+    if not tops:
+        return zero_series(d)
+    if max(tops) ** order >= 2**62:
         raise DomainError(
-            f"frequency products up to {max(base)}^{order} leave the exact "
+            f"frequency products up to {max(tops)}^{order} leave the exact "
             "integer range; reduce the support or the order"
         )
-    lattice = _product_lattice(base, order, _LATTICE_CAP)
-    if lattice is not None:
-        return _walk_plan_dense(g1, g2, order, lattice)
-    return _walk_plan_sparse(g1, g2, order)
+    leaves = ((g1.freqs, g1.mats), (g2.freqs, g2.mats))
+    values = []
+    acc_f, acc_m = [], []
+    for parent, letter, weight in _words.evaluation_plan(order):
+        lf, lm = leaves[letter]
+        v = (lf, lm) if parent is None else _bracket_terms(*values[parent], lf, lm, d)
+        values.append(v)
+        if weight and v[0].size:
+            acc_f.append(v[0])
+            acc_m.append(weight * v[1])
+    if not acc_f:
+        return zero_series(d)
+    return DirichletSeries(np.concatenate(acc_f), np.concatenate(acc_m), dim=d)
 
 
 def exp_pointwise(gamma: DirichletSeries, z: complex) -> np.ndarray:

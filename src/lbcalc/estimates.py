@@ -78,6 +78,26 @@ class AnalyticSample:
         return np.asarray(value, dtype=np.complex128).reshape(-1)
 
 
+def _block_sample(sp, cols: np.ndarray, center, radius: float, label: str) -> AnalyticSample:
+    """Sample of the series block `cols` around `center`, read off its coefficients.
+
+    majorants[k] is the degree-k coefficient sum and sup_bound is
+    sum_k majorants[k] radius^k.
+    """
+    coeff_norm = np.abs(cols).max(axis=0)
+    majorants = [float(coeff_norm[0])] + sp.degree_sums(coeff_norm).tolist()
+    sup = 0.0
+    for k, m in enumerate(majorants):
+        sup += m * radius**k
+
+    def evaluator(point, _sp=sp, _cols=cols, _c=center):
+        return _sp.evaluate(_cols, np.asarray(point) - _c)
+
+    return AnalyticSample(
+        evaluator, center, radius, sup, majorants=tuple(majorants), label=label
+    )
+
+
 def sample_from_polynomial(
     terms: dict, center, radius: float, degree: int = DEFAULT_DEGREE, label: str = ""
 ) -> AnalyticSample:
@@ -88,46 +108,18 @@ def sample_from_polynomial(
     evaluates the polynomial around its center.
     """
     center = np.asarray(center, dtype=np.complex128).reshape(-1)
-    d = center.size
-    sp = space(d, degree)
-    cols = sp.from_terms(terms, d)
-    majorants = [0.0] * (degree + 1)
-    coeff_norm = np.abs(cols).max(axis=0)
-    majorants[0] = float(coeff_norm[0])
-    for k in range(1, degree + 1):
-        majorants[k] = float(coeff_norm[sp.by_degree[k]].sum())
-    sup = 0.0
-    for k in range(degree + 1):
-        sup += majorants[k] * radius**k
-
-    def evaluator(point, _sp=sp, _cols=cols, _c=center):
-        return _sp.evaluate(_cols, np.asarray(point) - _c)
-
-    return AnalyticSample(
-        evaluator, center, radius, sup, majorants=tuple(majorants), label=label
-    )
+    sp = space(center.size, degree)
+    return _block_sample(sp, sp.from_terms(terms, center.size), center, radius, label)
 
 
 def sample_from_germ(germ, anchor: int = 0, label: str = "") -> AnalyticSample:
-    """Wrap one anchor of a germ; R = 1/index, majorants from the series."""
+    """Wrap one anchor of a germ; R = 1/index, majorants from the series.
+
+    The germ vanishes at its anchors, so its degree-0 majorant is 0.0.
+    """
     sp = space(germ.dim, germ.degree)
-    cols = germ.coeffs[anchor]
-    radius = 1.0 / germ.index
-    coeff_norm = np.abs(cols).max(axis=0)
-    majorants = [0.0] * (germ.degree + 1)
-    for k in range(1, germ.degree + 1):
-        majorants[k] = float(coeff_norm[sp.by_degree[k]].sum())
-    sup = 0.0
-    for k in range(1, germ.degree + 1):
-        sup += majorants[k] * radius**k
     center = germ.anchors.points[anchor]
-
-    def evaluator(point, _sp=sp, _cols=cols, _c=center):
-        return _sp.evaluate(_cols, np.asarray(point) - _c)
-
-    return AnalyticSample(
-        evaluator, center, radius, sup, majorants=tuple(majorants), label=label
-    )
+    return _block_sample(sp, germ.coeffs[anchor], center, 1.0 / germ.index, label)
 
 
 def cauchy_directional_coefficient(

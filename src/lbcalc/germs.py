@@ -28,7 +28,6 @@ output index 12n.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -242,43 +241,11 @@ def with_index(g: Germ, index: int) -> Germ:
 # -- norms ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _degree_table(dim: int, degree: int):
-    """Packed slots of degrees 1..D, one row each, padded with slot 0.
-
-    The second value says whether every row is shorter than eight slots.
-    """
-    sp = space(dim, degree)
-    rows = [sp.by_degree[k] for k in range(1, degree + 1)]
-    width = max(len(r) for r in rows)
-    table = np.zeros((degree, width), dtype=np.intp)
-    for k, r in enumerate(rows):
-        table[k, : len(r)] = r
-    return table, width < 8
-
-
-def _degree_sums(sp, coeff_norm: np.ndarray) -> np.ndarray:
-    """Per-degree sums h_k = coeff_norm[by_degree[k]].sum(), k = 1..D, per row.
-
-    `coeff_norm` is (anchors, size) with a zero constant slot.  numpy adds
-    fewer than eight values left to right, so when every degree has fewer
-    than eight slots one padded gather gives the same bits as the per-degree
-    sums: the padding adds +0.0 at the end.  Longer degrees, where numpy
-    sums pairwise, are summed one degree at a time.
-    """
-    table, short = _degree_table(sp.dim, sp.degree)
-    if short:
-        return coeff_norm[:, table].sum(axis=-1)
-    return np.array(
-        [[row[sp.by_degree[k]].sum() for k in range(1, sp.degree + 1)] for row in coeff_norm]
-    )
-
-
 def _majorants(sp, stack: np.ndarray, rho: float) -> tuple:
     """(sup, derivative) majorants at radius rho, max over anchor blocks."""
     sup = 0.0
     dval = 0.0
-    for sums in _degree_sums(sp, np.abs(stack).max(axis=1)).tolist():
+    for sums in sp.degree_sums(np.abs(stack).max(axis=1)).tolist():
         s = 0.0
         d = 0.0
         rho_pow = 1.0  # rho^(k-1)
@@ -327,7 +294,7 @@ def degree_majorants(g: Germ) -> np.ndarray:
     """Per-degree coefficient sums h_k = max over anchors of sum ||c_a||, |a| = k."""
     sp = space(g.dim, g.degree)
     out = np.zeros(g.degree + 1)
-    out[1:] = _degree_sums(sp, np.abs(g._stack).max(axis=1)).max(axis=0)
+    out[1:] = sp.degree_sums(np.abs(g._stack).max(axis=1)).max(axis=0)
     return out
 
 
@@ -525,7 +492,10 @@ def _vector_from_json(obj, dim: int, what: str) -> np.ndarray:
     for i, pair in enumerate(obj):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValidationError(f"{what} component {i} must be a [re, im] pair")
-        out[i] = complex(float(pair[0]), float(pair[1]))
+        try:
+            out[i] = complex(float(pair[0]), float(pair[1]))
+        except (TypeError, ValueError):
+            raise ValidationError(f"{what} component {i} must hold two numbers, got {pair!r}")
     return out
 
 

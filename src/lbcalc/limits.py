@@ -259,8 +259,11 @@ def verify_certificate(
     measure; f(0) must be exactly 0 (the certificate formulas assume the
     normalized map).  Each sample draws a random number of leading steps and
     one element per step with norm uniform in [0, delta_j).  Reports the
-    worst observed value, the margin to epsilon, and a verdict.
+    worst observed value, the margin to epsilon, and a verdict.  `samples`
+    must be a positive integer: a verdict after zero draws claims nothing.
     """
+    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
+        raise ValidationError(f"samples must be a positive integer, got {samples!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     zero_val = out_norm(f(scale.zero()))
     if zero_val != 0.0:

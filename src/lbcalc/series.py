@@ -61,6 +61,12 @@ class SeriesSpace:
         self.by_degree = {
             k: packed[[sum(a) == k for a in alphas]] for k in range(degree + 1)
         }
+        # slots of degrees 1..D, one row each, padded past the row's width
+        rows = [self.by_degree[k] for k in range(1, degree + 1)]
+        widths = np.array([len(r) for r in rows])
+        self._degree_pad = np.arange(widths.max()) >= widths[:, None]
+        self._degree_table = np.zeros(self._degree_pad.shape, dtype=np.intp)
+        self._degree_table[~self._degree_pad] = np.concatenate(rows)
         self.unit_packed = tuple(int(weights[i]) for i in range(dim))
 
         # product table: every ordered pair of valid indices whose totals fit
@@ -97,6 +103,25 @@ class SeriesSpace:
             out.append(rem % self.base)
             rem //= self.base
         return tuple(out)
+
+    def degree_sums(self, norms: np.ndarray) -> np.ndarray:
+        """Per-degree sums norms[..., by_degree[k]].sum() for k = 1..D.
+
+        `norms` is (..., size); the result is (..., D).  numpy adds fewer than
+        eight values left to right, so when every degree has fewer than eight
+        slots one padded gather, its padding set to +0.0, gives the same bits
+        as the per-degree sums.  Longer degrees, where numpy sums pairwise,
+        are summed one degree at a time.
+        """
+        if self._degree_table.shape[1] < 8:
+            gathered = norms[..., self._degree_table]
+            gathered[..., self._degree_pad] = 0.0
+            return gathered.sum(axis=-1)
+        sums = [
+            [row[self.by_degree[k]].sum() for k in range(1, self.degree + 1)]
+            for row in norms.reshape(-1, self.size)
+        ]
+        return np.array(sums).reshape(norms.shape[:-1] + (self.degree,))
 
     # -- construction ----------------------------------------------------
 

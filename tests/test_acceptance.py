@@ -12,7 +12,7 @@ import json
 import pytest
 from conftest import ACCEPTANCE_KEY
 
-from lbcalc import cli
+from lbcalc import acceptance, cli
 
 CRITERIA = [
     "bch-matrix-oracle",
@@ -65,3 +65,10 @@ def test_report_lines_are_printable_one_per_criterion(battery):
     for line, name in zip(report["lines"], CRITERIA):
         assert line.startswith(("PASS", "FAIL"))
         assert name in line
+
+
+def test_norm_hook_detail_does_not_depend_on_earlier_work():
+    first = acceptance.criterion_norm_comparison_hook(0)
+    second = acceptance.criterion_norm_comparison_hook(0)
+    assert first.passed and second.passed
+    assert first.detail == second.detail

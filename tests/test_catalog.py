@@ -1,6 +1,7 @@
 """The built-in corpus of estimate families and the named map registry."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,6 +97,20 @@ def test_certificates_reuse_the_case_parameters():
     assert cert.r == case.r
     assert cert.epsilon == case.epsilon
     assert len(cert) == 3
+
+
+@pytest.mark.parametrize("name", ["matrix2-commutator", "dirichlet-ad", "germ-square"])
+def test_bundle_runs_setup_once(name):
+    case = catalog.get_map(name)
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return case.setup()
+
+    _, _, _, cert = replace(case, setup=counted).bundle()
+    assert len(calls) == 1
+    assert cert.to_json() == case.certificate().to_json()
 
 
 @pytest.mark.parametrize("name", ["matrix2-commutator", "dirichlet-ad", "germ-square"])

@@ -22,10 +22,6 @@ from lbcalc.dirichlet import (
     series_from_json,
     series_to_json,
     zero_series,
-    _product_lattice,
-    _walk_plan_dense,
-    _walk_plan_sparse,
-    _LATTICE_CAP,
 )
 from lbcalc.errors import DomainError, ValidationError
 from lbcalc.matrices import bch, commutator, compatible_norm, mat_exp
@@ -127,6 +123,27 @@ def test_bracket_against_pair_enumeration():
     assert np.array_equal(got.terms()[4], commutator(B, C))
 
 
+def test_bracket_refuses_coefficients_that_overflow():
+    huge = DirichletSeries([1], [1e200 * A])
+    with pytest.raises(ValidationError, match="finite"):
+        bracket(huge, DirichletSeries([1], [1e200 * B]))
+
+
+def test_bracket_refuses_frequency_products_that_leave_int64():
+    # 2^32 * 2^32 wraps to 0, 3 * 2^62 to a negative and (2^33 + 1) * 2^31 to 2^31
+    for n1, n2 in ((2**32, 2**32), (3, 2**62), (2**33 + 1, 2**31)):
+        with pytest.raises(ValidationError, match="64-bit"):
+            bracket(DirichletSeries([n1], [A]), DirichletSeries([n2], [B]))
+    edge = bracket(DirichletSeries([2], [A]), DirichletSeries([2**62 - 1], [B]))
+    assert list(edge.terms()) == [2**63 - 2]
+
+
+def test_frequencies_outside_int64_are_refused():
+    with pytest.raises(ValidationError, match="below 2\\^63"):
+        DirichletSeries.from_terms({2**63: A})
+    assert DirichletSeries.from_terms({2**63 - 1: A}).support == 1
+
+
 def test_bracket_norm_is_submultiplicative():
     rng = generator(31)
     for _ in range(200):
@@ -186,21 +203,19 @@ def test_combination_evaluates_pointwise():
     assert np.max(np.abs(evaluate(out, z) - want)) < 1e-9
 
 
-def test_dense_and_sparse_walkers_agree():
+def test_combination_on_a_two_prime_support_matches_the_matrix_oracle():
     rng = generator(41)
     g1 = random_series(rng, 2, (2, 3), 2, target=0.15)
     g2 = random_series(rng, 2, (2, 3), 2, target=0.15)
-    order = 6
-    lattice = _product_lattice([2, 3], order, _LATTICE_CAP)
-    assert lattice is not None
-    dense = _walk_plan_dense(g1, g2, order, lattice)
-    sparse = _walk_plan_sparse(g1, g2, order)
-    assert list(dense.freqs) == list(sparse.freqs)
-    assert np.max(np.abs(dense.mats - sparse.mats)) < 1e-15
+    out = bch_series(g1, g2, 0.0, 6)
+    # every frequency is a product of at most six support members
+    assert set(out.freqs.tolist()) <= {2**a * 3**b for a in range(7) for b in range(7 - a)}
+    z = 1.5
+    want = bch(evaluate(g1, z), evaluate(g2, z), 6)
+    assert np.max(np.abs(evaluate(out, z) - want)) < 1e-12
 
 
-def test_wide_support_falls_back_to_the_sparse_walker():
-    assert _product_lattice([2, 3, 5, 7, 11], 8, _LATTICE_CAP) is None
+def test_combination_on_a_wide_support_matches_the_matrix_oracle():
     rng = generator(43)
     g1 = random_series(rng, 2, (2, 3, 5, 7, 11), 4, target=0.12)
     g2 = random_series(rng, 2, (2, 3, 5, 7, 11), 4, target=0.12)

@@ -15,6 +15,8 @@ from lbcalc.estimates import (
     verify_bounded_series,
 )
 from lbcalc.germs import AnchorSet, Germ
+from lbcalc.sampling import generator, random_germ
+from lbcalc.series import space
 
 
 def scalar_sample(terms, radius=1.0, degree=8):
@@ -169,6 +171,38 @@ def test_germ_wrapper_uses_the_index_radius():
     assert smp.sup_bound == pytest.approx(0.8 * 0.25**2, rel=1e-15)
     # the evaluator is the actual truncated series
     assert abs(smp([0.1])[0] - 0.8 * 0.01) < 1e-16
+
+
+def _loop_majorants(cols, degree, radius, first):
+    """Majorants and sup bound by the per-degree loop, the sup summed from degree `first`."""
+    sp = space(cols.shape[0], degree)
+    coeff_norm = np.abs(cols).max(axis=0)
+    majorants = [float(coeff_norm[0]) if first == 0 else 0.0]
+    majorants += [float(coeff_norm[sp.by_degree[k]].sum()) for k in range(1, degree + 1)]
+    sup = 0.0
+    for k in range(first, degree + 1):
+        sup += majorants[k] * radius**k
+    return tuple(majorants), sup
+
+
+@pytest.mark.parametrize("dim, degree", [(1, 8), (2, 6), (3, 8)])
+def test_wrappers_match_the_per_degree_loop(dim, degree):
+    # (3, 8) has degrees with eight or more monomials, summed pairwise by numpy
+    rng = generator(5)
+    sp = space(dim, degree)
+    for _ in range(10):
+        terms = {
+            alpha: rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4)
+            for alpha in sp.alphas
+            if rng.random() < 0.5
+        }
+        smp = sample_from_polynomial(terms, np.zeros(dim), 0.7, degree=degree)
+        want = _loop_majorants(sp.from_terms(terms, dim), degree, 0.7, first=0)
+        assert (smp.majorants, smp.sup_bound) == want
+        g = random_germ(rng, AnchorSet.origin(dim), 3, degree=degree, terms=12)
+        smp = sample_from_germ(g)
+        want = _loop_majorants(g.coeffs[0], degree, 1.0 / 3, first=1)
+        assert (smp.majorants, smp.sup_bound) == want
 
 
 def test_sample_validation():

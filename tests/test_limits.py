@@ -174,6 +174,14 @@ def test_maps_must_vanish_at_zero():
         verify_certificate(lambda x: x + np.eye(2), compatible_norm, cert, scale, samples=5)
 
 
+@pytest.mark.parametrize("samples", [0, -5, 2.5, True])
+def test_degenerate_sample_counts_are_refused(samples):
+    scale = MatrixSteps(2)
+    cert = build_certificate([1.0], 1.0, 0.1, 0.2)
+    with pytest.raises(ValidationError, match="positive integer"):
+        verify_certificate(lambda x: x + x, compatible_norm, cert, scale, samples=samples)
+
+
 def test_doubling_map_stays_under_the_linear_ceiling():
     scale = MatrixSteps(2)
     cert = build_certificate([2.0, 2.0, 2.0], 1.0, 0.1, 0.05)

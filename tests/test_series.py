@@ -176,6 +176,20 @@ def test_space_rejects_degenerate_parameters():
         space(2, 0)
 
 
+@pytest.mark.parametrize("dim, degree", [(1, 8), (2, 5), (2, 8), (3, 6)])
+def test_degree_sums_match_the_per_degree_loop(dim, degree):
+    # the constant slot is nonzero, and (2, 8) and (3, 6) have degrees with
+    # eight or more monomials, where numpy sums pairwise
+    rng = np.random.default_rng(7)
+    sp = space(dim, degree)
+    norms = np.abs(rng.standard_normal((3, sp.size))) * 10.0 ** rng.integers(-6, 7, (3, sp.size))
+    want = np.array(
+        [[row[sp.by_degree[k]].sum() for k in range(1, degree + 1)] for row in norms]
+    )
+    assert sp.degree_sums(norms).tobytes() == want.tobytes()
+    assert sp.degree_sums(norms[0]).tobytes() == want[0].tobytes()
+
+
 def test_product_matches_an_unbuffered_scatter():
     # the bincount scatter adds each slot in table order, as np.add.at does
     rng = np.random.default_rng(4)
