@@ -224,14 +224,29 @@ def norm_s(gamma: DirichletSeries, s: float) -> float:
     return weighted_norm(gamma.freqs, gamma.mats, s)
 
 
+def _products(m1, m2, n1: int, n2: int, dim: int) -> np.ndarray:
+    """m1[i] @ m2[j] for every pair, as one (n1*dim, dim) by (dim, n2*dim) GEMM."""
+    rows = m1.reshape(n1 * dim, dim)
+    cols = m2.transpose(1, 0, 2).reshape(dim, n2 * dim)
+    return (rows @ cols).reshape(n1, dim, n2, dim)
+
+
 def _bracket_terms(f1, m1, f2, m2, dim: int):
-    """`bracket` on bare (freqs, mats) pairs: canonicalized once, not validated."""
-    if f1.size == 0 or f2.size == 0:
+    """`bracket` on bare (freqs, mats) pairs: canonicalized once, not validated.
+
+    ba is the GEMM of ab with the roles swapped, so swapping the arguments
+    negates every pair's term exactly.  Overflow shows as a non-finite
+    coefficient, which the caller checks; numpy is kept from warning of it.
+    """
+    n1, n2 = f1.size, f2.size
+    if n1 == 0 or n2 == 0:
         return _canonical(np.zeros(0, dtype=np.int64), None, dim)
     prod = (f1[:, None] * f2[None, :]).reshape(-1)
-    ab = np.einsum("iab,jbc->ijac", m1, m2)
-    ba = np.einsum("jab,ibc->ijac", m2, m1)
-    return _canonical(prod, (ab - ba).reshape(-1, dim, dim), dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ab = _products(m1, m2, n1, n2, dim).transpose(0, 2, 1, 3)
+        ba = _products(m2, m1, n2, n1, dim).transpose(2, 0, 1, 3)
+        terms = (ab - ba).reshape(-1, dim, dim)
+    return _canonical(prod, terms, dim)
 
 
 def bracket(g1: DirichletSeries, g2: DirichletSeries) -> DirichletSeries:
@@ -269,8 +284,10 @@ def bch_series(
 
     Gated by norm_s(g1) + norm_s(g2) < log(3/2), the radius within which the
     series converges for any norm with a submultiplicative bracket.  Support
-    is exact: frequency products are never truncated.  The bracket plan is
-    walked term by term, each node keeping only the frequencies it reaches.
+    is exact: frequency products are never truncated.  The walk follows
+    `words.evaluation_plan`, one left-normed basis bracket [parent, letter]
+    per node, so each node costs one bracket against a leaf series and keeps
+    only the frequencies it reaches; the weighted nodes are summed at the end.
     """
     if g1.dim != g2.dim:
         raise ValidationError(f"dimension mismatch: {g1.dim} vs {g2.dim}")

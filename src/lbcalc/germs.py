@@ -525,6 +525,9 @@ def germ_from_json(obj) -> Germ:
     dim = obj["dim"]
     if not isinstance(dim, int) or dim < 1:
         raise ValidationError(f"germ dimension must be a positive integer, got {dim!r}")
+    for key in ("anchors", "series"):
+        if not isinstance(obj[key], list):
+            raise ValidationError(f"germ field '{key}' must be a list, got {obj[key]!r}")
     anchors = AnchorSet(
         [_vector_from_json(p, dim, "anchor") for p in obj["anchors"]], dim=dim
     )
@@ -536,6 +539,11 @@ def germ_from_json(obj) -> Germ:
     for block in obj["series"]:
         if not isinstance(block, dict) or "anchor" not in block or "terms" not in block:
             raise ValidationError("each series block needs 'anchor' and 'terms'")
+        if not isinstance(block["terms"], list) or not all(
+            isinstance(term, dict) and isinstance(term.get("alpha"), list) and "coeff" in term
+            for term in block["terms"]
+        ):
+            raise ValidationError("each term must be an object with an 'alpha' list and a 'coeff'")
         a = block["anchor"]
         if not isinstance(a, int) or not 0 <= a < len(anchors):
             raise ValidationError(f"series block targets unknown anchor {a!r}")
@@ -543,9 +551,9 @@ def germ_from_json(obj) -> Germ:
             raise ValidationError(f"anchor {a} appears in two series blocks")
         seen.add(a)
         for term in block["terms"]:
-            alpha = tuple(term.get("alpha", ()))
+            alpha = tuple(term["alpha"])
             if len(alpha) != dim or any(not isinstance(x, int) or x < 0 for x in alpha):
-                raise ValidationError(f"bad multi-index {term.get('alpha')!r}")
+                raise ValidationError(f"bad multi-index {term['alpha']!r}")
             if not 1 <= sum(alpha) <= degree:
                 raise ValidationError(
                     f"multi-index {alpha} outside the degree range 1..{degree}"

@@ -193,16 +193,17 @@ def certificate_from_json(obj) -> ContinuityCertificate:
     for key in ("R", "r", "epsilon", "step_sups", "a", "b", "delta"):
         if key not in obj:
             raise ValidationError(f"certificate JSON is missing '{key}'")
-    lists = {k: [float(v) for v in obj[k]] for k in ("step_sups", "a", "b", "delta")}
+    radius, r, epsilon = _floats([obj["R"], obj["r"], obj["epsilon"]], "R, r and epsilon")
+    lists = {k: _floats(obj[k], k) for k in ("step_sups", "a", "b", "delta")}
     sizes = {len(v) for v in lists.values()}
     if len(sizes) != 1:
         raise ValidationError("certificate lists must share one length")
     if any(v <= 0 for v in lists["delta"]):
         raise ValidationError("all delta radii must be positive")
     return ContinuityCertificate(
-        radius=float(obj["R"]),
-        r=float(obj["r"]),
-        epsilon=float(obj["epsilon"]),
+        radius=radius,
+        r=r,
+        epsilon=epsilon,
         step_sups=tuple(lists["step_sups"]),
         a=tuple(lists["a"]),
         b=tuple(lists["b"]),
@@ -210,9 +211,23 @@ def certificate_from_json(obj) -> ContinuityCertificate:
     )
 
 
+def _floats(values, what: str) -> list:
+    """A list of numbers as floats; anything else is a ValidationError."""
+    if isinstance(values, (str, bytes, dict)):
+        raise ValidationError(f"{what} must be a list of numbers, got {values!r}")
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be a list of numbers: {exc}") from exc
+
+
 def build_certificate(step_sups, radius: float, r: float, epsilon: float) -> ContinuityCertificate:
-    """Certificate radii from per-step sup bounds, by the explicit formulas."""
-    sups = [float(s) for s in step_sups]
+    """Certificate radii from per-step sup bounds, by the explicit formulas.
+
+    A delta that underflows to 0 is refused: it certifies nothing, and
+    `certificate_from_json` would refuse the certificate.
+    """
+    sups = _floats(step_sups, "step sups")
     if not sups:
         raise ValidationError("at least one step sup is required")
     if any(not (s > 0 and math.isfinite(s)) for s in sups):
@@ -226,6 +241,10 @@ def build_certificate(step_sups, radius: float, r: float, epsilon: float) -> Con
     a = [r / 2.0**j for j in range(1, len(sups) + 1)]
     b = [min(1.0, epsilon / (2.0**n * sups[n - 1])) for n in range(1, len(sups) + 1)]
     delta = [aj * bj for aj, bj in zip(a, b)]
+    if not all(dj > 0 for dj in delta):
+        raise DomainError(
+            f"a delta radius underflows to 0 (delta = {delta}); raise epsilon or lower the step sups"
+        )
     for aj, dj in zip(a, delta):
         if dj > aj:
             raise InternalCheckError(f"delta {dj} exceeds its ceiling a = {aj}")

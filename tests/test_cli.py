@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,18 @@ from lbcalc.matrices import bch, matrix_from_json, matrix_to_json
 
 X = np.array([[0.0, 0.05], [0.0, 0.0]], dtype=np.complex128)
 Y = np.array([[0.0, 0.0], [0.05, 0.0]], dtype=np.complex128)
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_process(argv):
+    """Run the CLI in a fresh interpreter; return the exit code, stdout and stderr."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lbcalc.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def run(argv_or_cmd):
@@ -283,6 +299,37 @@ def test_limit_certify_emits_the_radii(json_file):
     code, report = run(["limit-certify", "--r", "0.3", "--R", "1", "--epsilon", "1", path])
     assert code == 3
     assert "R/(2e)" in report["error"]
+
+
+def test_limit_certify_refuses_a_delta_that_underflows(json_file):
+    path = json_file({"step_sups": [1e308, 1e308]}, "sups.json")
+    code, report = run(["limit-certify", "--r", "0.05", "--R", "1", "--epsilon", "1e-320", path])
+    assert code == 3
+    assert "underflows to 0" in report["error"]
+
+
+def _germ_input(edit):
+    obj = germ_to_json(Germ.from_terms(AnchorSet.origin(1), 1, [{(2,): [0.1]}]))
+    edit(obj)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "verb, obj",
+    [
+        ("limit-certify", {"step_sups": "abc"}),
+        ("germ-invert", _germ_input(lambda g: g.update(series=5))),
+        ("germ-invert", _germ_input(lambda g: g["series"][0]["terms"][0].pop("coeff"))),
+    ],
+    ids=["text-step-sups", "number-series", "term-without-coeff"],
+)
+def test_malformed_input_exits_3_without_a_traceback(json_file, verb, obj):
+    path = json_file(obj, "bad.json")
+    extra = ["--r", "0.1", "--R", "1", "--epsilon", "1"] if verb == "limit-certify" else []
+    code, out, err = run_process([verb, *extra, path])
+    assert code == 3
+    assert "Traceback" not in err
+    assert json.loads(out)["verb"] == verb
 
 
 def test_limit_verify_with_the_builtin_certificate():

@@ -124,6 +124,14 @@ def test_certificate_input_validation():
         build_certificate([1.0], 1.0, 0.1, -0.5)
 
 
+def test_certificate_refuses_a_delta_that_underflows():
+    # b = 1e-320 / (2 * 1e308) is 0.0, and the loader refuses a zero delta
+    with pytest.raises(DomainError, match="underflows to 0"):
+        build_certificate([1e308, 1e308], 1.0, 0.05, 1e-320)
+    with pytest.raises(ValidationError, match="list of numbers"):
+        build_certificate("abc", 1.0, 0.1, 0.5)
+
+
 def test_certificate_json_roundtrip():
     cert = build_certificate([2.0, 3.0], 1.0, 0.1, 0.3)
     clone = certificate_from_json(json.loads(json.dumps(cert.to_json())))
@@ -144,6 +152,9 @@ def test_certificate_json_rejects_broken_payloads():
         certificate_from_json(uneven)
     with pytest.raises(ValidationError, match="must be an object"):
         certificate_from_json([1, 2, 3])
+    for key, value in (("R", "wide"), ("delta", "abc"), ("a", 5)):
+        with pytest.raises(ValidationError, match="list of numbers"):
+            certificate_from_json({**good, key: value})
 
 
 def test_tampered_delta_loads_without_complaint():

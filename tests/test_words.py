@@ -1,11 +1,14 @@
 """Exact-arithmetic checks on the shared bracket-series engine.
 
-The word coefficients are Fractions, so every identity here is tested with
-no tolerance at all.  The plan evaluator is compared against the hand-written
-degree-4 formula on concrete matrices.
+The series coefficients and the plan's weights are Fractions, so every
+identity here is tested with no tolerance at all.  The plan evaluator is
+compared against the hand-written degree-4 formula on concrete matrices.
 """
 
+import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,57 +18,193 @@ from lbcalc.errors import DomainError, ValidationError
 from lbcalc.matrices import commutator
 from lbcalc.sampling import generator
 
+WITT = [2, 1, 2, 3, 6, 9, 18, 30, 56, 99, 186, 335]
+
+
+@lru_cache(maxsize=None)
+def convolution_coefficients(order: int) -> dict:
+    """Reference: log(exp(X) exp(Y)) on words of degree <= order, by convolution.
+
+    Words are tuples over {0, 1} (0 for X, 1 for Y), values are nonzero
+    Fractions.  All intermediate arithmetic is integer: the factor
+    exp(X) exp(Y) - 1 is scaled by order!**2 so powers stay integral, and
+    each power contributes sign/(m * scale**m) per word.
+    """
+    fact = math.factorial(order)
+    scale = fact * fact
+    conv = {}
+    for i in range(order + 1):
+        for j in range(order + 1 - i):
+            if i or j:
+                conv[(0,) * i + (1,) * j] = (fact // math.factorial(i)) * (
+                    fact // math.factorial(j)
+                )
+    out: dict[tuple, Fraction] = {}
+    power = {(): 1}
+    denom = 1
+    for m in range(1, order + 1):
+        step: dict[tuple, int] = {}
+        for wa, ca in power.items():
+            budget = order - len(wa)
+            for wb, cb in conv.items():
+                if len(wb) <= budget:
+                    w = wa + wb
+                    step[w] = step.get(w, 0) + ca * cb
+        power = step
+        denom *= scale
+        sign = 1 if m % 2 else -1
+        for w, c in power.items():
+            if c:
+                out[w] = out.get(w, Fraction(0)) + Fraction(sign * c, m * denom)
+    return {w: c for w, c in out.items() if c}
+
+
+def all_words(k: int):
+    return product((0, 1), repeat=k)
+
+
+def per_word(order: int) -> dict:
+    return {w: engine.bch_coefficient(w) for k in range(1, order + 1) for w in all_words(k)}
+
+
+def depths(plan) -> list:
+    out = []
+    for parent, _, _ in plan:
+        out.append(1 if parent is None else out[parent] + 1)
+    return out
+
+
+def witt(k: int) -> int:
+    """Dimension of the degree-k free Lie algebra on two letters (Moebius formula)."""
+
+    def mobius(n):
+        sign, p = 1, 2
+        while p * p <= n:
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return -sign if n > 1 else sign
+
+    return sum(mobius(d) * 2 ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+
+
+# -- series coefficients per word ----------------------------------------------
+
 
 def test_degree_one_words_carry_coefficient_one():
-    coeffs = engine.word_coefficients(4)
-    assert coeffs[(0,)] == 1
-    assert coeffs[(1,)] == 1
+    assert engine.bch_coefficient((0,)) == 1
+    assert engine.bch_coefficient((1,)) == 1
 
 
 def test_degree_two_words_form_the_half_commutator():
-    coeffs = engine.word_coefficients(2)
-    assert coeffs[(0, 1)] == Fraction(1, 2)
-    assert coeffs[(1, 0)] == Fraction(-1, 2)
-    assert (0, 0) not in coeffs
-    assert (1, 1) not in coeffs
+    assert engine.bch_coefficient((0, 1)) == Fraction(1, 2)
+    assert engine.bch_coefficient((1, 0)) == Fraction(-1, 2)
+    assert engine.bch_coefficient((0, 0)) == 0
+    assert engine.bch_coefficient((1, 1)) == 0
+
+
+def test_per_word_coefficients_match_the_convolution_table():
+    table = convolution_coefficients(engine.MAX_ORDER)
+    assert len(table) == 5190
+    for k in range(1, engine.MAX_ORDER + 1):
+        for w in all_words(k):
+            assert engine.bch_coefficient(w) == table.get(w, 0), w
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 7])
 def test_equal_arguments_collapse_to_twice_the_letter(order):
     # log(exp(t) exp(t)) = 2t, so the coefficients of each degree above one
     # must cancel exactly over all words of that degree
-    coeffs = engine.word_coefficients(order)
     for k in range(2, order + 1):
-        assert sum(c for w, c in coeffs.items() if len(w) == k) == 0
+        assert sum(engine.bch_coefficient(w) for w in all_words(k)) == 0
 
 
 @pytest.mark.parametrize("order", [3, 4, 5, 6])
 def test_single_letter_words_vanish_above_degree_one(order):
     # log(exp(x)) = x: pure-x and pure-y words contribute nothing
-    coeffs = engine.word_coefficients(order)
     for k in range(2, order + 1):
-        assert coeffs.get((0,) * k, Fraction(0)) == 0
-        assert coeffs.get((1,) * k, Fraction(0)) == 0
+        assert engine.bch_coefficient((0,) * k) == 0
+        assert engine.bch_coefficient((1,) * k) == 0
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 7, 8])
 def test_mirror_symmetry(order):
     # reversing words is an antiautomorphism, so log(exp(y) exp(x)) read
     # backwards is the original series: c(w) = c(w reversed, letters swapped)
-    coeffs = engine.word_coefficients(order)
+    coeffs = per_word(order)
     for w, c in coeffs.items():
-        mirror = tuple(1 - u for u in reversed(w))
-        assert coeffs.get(mirror, Fraction(0)) == c
+        assert coeffs[tuple(1 - u for u in reversed(w))] == c
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 7, 8])
 def test_swap_antisymmetry(order):
     # inverting the group element flips the series: z(-y, -x) = -z(x, y),
     # hence c(w) = (-1)^(|w|+1) c(w with letters swapped)
-    coeffs = engine.word_coefficients(order)
+    coeffs = per_word(order)
     for w, c in coeffs.items():
-        swapped = tuple(1 - u for u in w)
-        assert coeffs.get(swapped, Fraction(0)) == (-1) ** (len(w) + 1) * c
+        assert coeffs[tuple(1 - u for u in w)] == (-1) ** (len(w) + 1) * c
+
+
+# -- the basis plan ------------------------------------------------------------
+
+
+def test_lyndon_words_count_the_witt_numbers():
+    for k in range(1, engine.MAX_ORDER + 1):
+        lyndon = engine.lyndon_words(k)
+        assert len(lyndon) == witt(k) == WITT[k - 1]
+        assert lyndon == sorted(lyndon)
+        # strictly smaller than each of its proper rotations
+        assert all(w < w[i:] + w[:i] for w in lyndon for i in range(1, k))
+
+
+@pytest.mark.parametrize("order", range(1, engine.MAX_ORDER + 1))
+def test_plan_has_one_node_per_basis_element(order):
+    plan = engine.evaluation_plan(order)
+    counts = np.bincount(depths(plan), minlength=order + 1)[1:].tolist()
+    assert counts == [witt(k) for k in range(1, order + 1)] == WITT[:order]
+
+
+def test_lower_plans_are_prefixes_of_the_highest():
+    top = engine.evaluation_plan(engine.MAX_ORDER)
+    assert len(top) == 747
+    for order in range(1, engine.MAX_ORDER):
+        plan = engine.evaluation_plan(order)
+        assert plan == top[: len(plan)]
+        assert max(depths(plan)) == order
+
+
+def test_exact_weights_reproduce_every_series_coefficient():
+    # sum over nodes of weight * associative expansion, degree by degree,
+    # against the convolution table on all 2^k words of each degree
+    plan = engine._exact_plan(engine.MAX_ORDER)
+    table = convolution_coefficients(engine.MAX_ORDER)
+    assert [float(w) for _, _, w in plan] == [w for _, _, w in engine.evaluation_plan(12)]
+    depth = depths(plan)
+    expansion = {}
+    for k in range(1, engine.MAX_ORDER + 1):
+        nodes = [n for n in range(len(plan)) if depth[n] == k]
+        total = [Fraction(0)] * 2**k
+        for n in nodes:
+            parent, letter, weight = plan[n]
+            if parent is None:
+                e = {letter: 1}
+            else:
+                # [b, a] = b a - a b, with word u1..uk at index sum u_i 2^(k-i)
+                e = {}
+                for idx, c in expansion[parent].items():
+                    for at, sign in ((2 * idx + letter, c), (letter * 2 ** (k - 1) + idx, -c)):
+                        e[at] = e.get(at, 0) + sign
+            expansion[n] = e
+            if weight:
+                for idx, c in e.items():
+                    total[idx] += weight * c
+        for idx, w in enumerate(all_words(k)):
+            assert total[idx] == table.get(w, 0), w
+        for n in [n for n in expansion if depth[n] < k]:
+            del expansion[n]
 
 
 def test_plan_order_two_is_the_exact_textbook_sum():
