@@ -18,13 +18,16 @@ family.  Two routes produce the beta_k:
 The probe maximum over finitely many directions can only undershoot the true
 directional sup, and the stored majorants dominate the homogeneous sups they
 replace, so in both routes a reported verdict of true is backed by the
-inequality itself; the engine never manufactures a false positive.
+inequality itself.  The comparison is decided in exact rationals, with e
+bracketed by two rationals, so rounding cannot turn a false bound into a
+verdict of true.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -35,8 +38,11 @@ from .series import space
 
 DEFAULT_QUADRATURE = 256
 DEFAULT_DEGREE = 8
-VERDICT_SLACK = 1e-12
 _PROBE_SHRINK = 1e-6  # probe circle sits at s = R(1 - this) by default
+# e lies strictly between these: the tail of sum 1/j! after j = 20 is
+# positive and below 1/(20 * 20!)
+_E_LOW = sum(Fraction(1, math.factorial(j)) for j in range(21))
+_E_HIGH = _E_LOW + Fraction(1, 20 * math.factorial(20))
 
 
 @dataclass(frozen=True)
@@ -147,9 +153,10 @@ def cauchy_directional_coefficient(
         raise ValidationError(f"direction must be a unit vector, got max component {vmax}")
     angles = 2.0 * math.pi * np.arange(quadrature) / quadrature
     nodes = s * np.exp(1j * angles)
+    weights = np.exp(-1j * k * angles)
     acc = np.zeros(sample.dim, dtype=np.complex128)
-    for z, theta in zip(nodes, angles):
-        acc += sample(sample.center + z * v) * np.exp(-1j * k * theta)
+    for z, w in zip(nodes, weights):
+        acc += sample(sample.center + z * v) * w
     return acc / (quadrature * s**k)
 
 
@@ -205,6 +212,21 @@ def _probe_directions(dim: int, rng) -> list:
     return dirs
 
 
+def _bound_holds(betas, r: float, radius: float, sup: float) -> bool:
+    """sum_k betas[k] r^k <= R/(R - 2er) * sup, decided exactly.
+
+    Every float is a rational, so the left side is summed exactly.  The
+    right side grows with e while R - 2er > 0, so it is bounded below by
+    putting the lower bracket of e in place of e, once the upper bracket
+    confirms R - 2er > 0.  True therefore means that the inequality holds.
+    """
+    r_q, big_r = Fraction(r), Fraction(radius)
+    lhs = sum(Fraction(b) * r_q**k for k, b in enumerate(betas))
+    if big_r - 2 * _E_HIGH * r_q <= 0:
+        return False
+    return lhs * (big_r - 2 * _E_LOW * r_q) <= big_r * Fraction(sup)
+
+
 def verify_bounded_series(
     family,
     r: float,
@@ -219,6 +241,8 @@ def verify_bounded_series(
     majorants when a sample has them, otherwise probed directional
     coefficients times the polarization factor.  Truncation at `degree` only
     lowers the left side, so it never flips a sound verdict to a false one.
+    The verdict compares the two sides exactly (see `_bound_holds`); the
+    reported lhs and rhs are their float values.
     """
     samples = list(family)
     if not samples:
@@ -255,8 +279,9 @@ def verify_bounded_series(
     lhs = 0.0
     for k in range(degree, -1, -1):  # small terms first
         lhs += betas[k] * r**k
-    rhs = radius / (radius - 2.0 * math.e * r) * max(smp.sup_bound for smp in samples)
-    verdict = lhs <= rhs + VERDICT_SLACK
+    sup = max(smp.sup_bound for smp in samples)
+    rhs = radius / (radius - 2.0 * math.e * r) * sup
+    verdict = _bound_holds(betas, r, radius, sup)
     stored = any(smp.majorants is not None for smp in samples)
     route = "mixed" if (probed and stored) else ("probed" if probed else "majorants")
     return EstimateReport(

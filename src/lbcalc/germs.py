@@ -20,9 +20,9 @@ returned germ is (g1 + id) o (g2 + id) - id = g1 o (g2 + id) + g2, truncated
 at D.  It is gated by the containment check
 (1 + d_norm(g2)) * (n + 2) <= l, which guarantees that the inner map sends
 the radius-1/l ball into the radius-1/(n+2) ball where g1 is controlled.
-Inversion solves the chart equation degree by degree and certifies both the
-vanishing residual and the 1/(6n) bound on the inverse's sup_norm at the
-output index 12n.
+Inversion solves the chart equation in one pass over the degrees, forming
+each monomial of id + h once, and certifies both the vanishing residual and
+the 1/(6n) bound on the inverse's sup_norm at the output index 12n.
 """
 
 from __future__ import annotations
@@ -404,14 +404,74 @@ def compose_derivative(g1: Germ, g2: Germ, dg1: Germ, dg2: Germ) -> Germ:
     return Germ(g1.anchors, g2.index, blocks, g1.degree)
 
 
+def _chart_inverse(sp, cols: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """h with h + cols o (id + h) = 0 through the degree, m = I + linear part.
+
+    One pass over the degrees k = 1..D.  The rows of `mono` hold, in compact
+    columns, the monomials of u = id + h that the pass reads: the support of
+    `cols`, every monomial on their parent chains, and the d units, whose
+    rows are u itself.  With zero constant terms, every product that lands
+    at degree k reads only degrees below k of its two factors, and those are
+    final, so degree k of every monomial of degree >= 2 is one batched
+    product and bincount over the pairs of `sp.products_by_degree[k]`.  The
+    pairs left out of that table each add a product with a zero factor, so
+    every value equals the one that `substitute(cols, id + h)` computes.
+    Then t_k = sum over the support of c_a u^a, added in support order, and
+    (I + L) h_k = -t_k gives degree k of h.
+    """
+    d = cols.shape[0]
+    support = sp.support(cols)
+    need = np.zeros(sp.live, dtype=bool)
+    need[support] = True
+    need[sp.unit_compact] = True
+    for j in range(sp.degree, 1, -1):  # parents of degree j - 1, top down
+        block = slice(sp.starts[j], sp.starts[j + 1])
+        need[sp.parents[block][need[block]]] = True
+    ids = np.flatnonzero(need)
+    row = np.zeros(sp.live, dtype=np.intp)
+    row[ids] = np.arange(ids.size)
+    units = row[sp.unit_compact]
+    first = np.searchsorted(ids, sp.starts[2])  # rows of degree >= 2 follow
+    left = row[sp.parents[ids[first:]]]
+    right = units[sp.variables[ids[first:]]]
+    coef = cols[:, sp.packed[support], None]
+    mono = np.zeros((ids.size, sp.live), dtype=np.complex128)
+    mono[units, sp.unit_compact] = 1.0
+    h = sp.zeros(d)
+    for k in range(1, sp.degree + 1):
+        lo, hi = sp.starts[k], sp.starts[k + 1]
+        width = hi - lo
+        rows = np.searchsorted(ids, hi) - first  # monomials of degree 2..k
+        if k >= 2 and rows > 0:
+            lhs, rhs, out = sp.products_by_degree[k]
+            # parent times component, the operand order of `mul`: numpy's
+            # vectorised complex product can round a*b and b*a differently
+            prods = mono[left[:rows, None], lhs] * mono[right[:rows, None], rhs]
+            bins = (np.arange(rows)[:, None] * width + out).ravel()
+            block = mono[first:first + rows, lo:hi]
+            block.real = np.bincount(bins, prods.real.ravel(), rows * width).reshape(rows, width)
+            block.imag = np.bincount(bins, prods.imag.ravel(), rows * width).reshape(rows, width)
+        terms = np.zeros((d, support.size + 1, width), dtype=np.complex128)
+        np.multiply(coef, mono[row[support], lo:hi], out=terms[:, 1:])
+        t = np.add.accumulate(terms, axis=1)[:, -1]  # 0.0 + c_1 u^a_1 + c_2 u^a_2 + ...
+        idx = sp.by_degree[k]
+        h[:, idx] -= np.linalg.solve(m, t)
+        mono[units, lo:hi] = h[:, idx]
+        if k == 1:
+            mono[units, sp.unit_compact] += 1.0
+    return h
+
+
 def invert(g: Germ) -> Germ:
     """Compositional inverse on the chart level.
 
     Requires d_norm(g) <= 1/2 (which is stricter than the < 1 threshold that
     already guarantees a local diffeomorphism).  The inverse is returned at
-    index 12 * g.index, solves the chart equation h + g o (id + h) = 0 degree
-    by degree, and two post-conditions are certified before returning: the
-    recomputed residual vanishes through the truncation degree, and
+    index 12 * g.index and solves the chart equation h + g o (id + h) = 0
+    in one pass over the degrees, which forms each monomial of id + h once,
+    degree by degree (see `_chart_inverse`).  Two post-conditions are
+    certified before returning: the residual, recomputed by a full
+    `substitute`, vanishes through the truncation degree, and
     sup_norm(result) <= 1 / (6 * g.index).
     """
     dn = d_norm(g)
@@ -428,13 +488,7 @@ def invert(g: Germ) -> Germ:
         lin = np.empty((d, d), dtype=np.complex128)
         for j in range(d):
             lin[:, j] = cols[:, sp.unit_packed[j]]
-        m = eye + lin
-        h = sp.zeros(d)
-        for k in range(1, g.degree + 1):
-            u = _argument_components(sp, h)
-            t = sp.substitute(cols, u) + h
-            idx = sp.by_degree[k]
-            h[:, idx] -= np.linalg.solve(m, t[:, idx])
+        h = _chart_inverse(sp, cols, eye + lin)
         u = _argument_components(sp, h)
         defect = sp.substitute(cols, u) + h
         worst = float(np.abs(defect).max())

@@ -7,18 +7,39 @@ ever kept, packed positions add without carries under multiplication, so a
 truncated product is one gather-multiply-scatter over a precomputed index
 table.  Slots whose multi-index exceeds the total degree stay exactly zero.
 
+The C(D+d, d) live slots, in the order of `alphas` (by total degree, then by
+multi-index), also number the columns of a compact layout.  In compact
+columns each degree is one contiguous block, and every slot of degree >= 1
+is its parent slot times one variable, the first variable that the slot
+holds.  `substitute` and `evaluate` build monomials along these parent
+chains.  The product table is also kept split by output degree, restricted
+to pairs whose two factors both have degree >= 1: with zero constant terms,
+degree k of a product reads only lower degrees of its factors, which is
+what lets `germs.invert` form every monomial one degree at a time.
+
 Vector-valued series (coefficients in C^m) are stored as (m, size) arrays and
 reuse the scalar tables row by row.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
-from itertools import product as _cartesian
 
 import numpy as np
 
 from .errors import ValidationError
+
+# No index table of a space may hold more entries than this: neither the
+# product table, with C(D+2d, 2d) pairs, nor the packed layout, with
+# (D+1)**d slots.  The battery and the benchmark build no space larger than
+# d = 3, D = 8: 3,003 pairs and 729 slots.
+MAX_TABLE_ENTRIES = 1_000_000
+
+
+def _runs(firsts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges firsts[i], .., firsts[i] + lengths[i] - 1, concatenated."""
+    return np.arange(lengths.sum()) + np.repeat(firsts - (np.cumsum(lengths) - lengths), lengths)
 
 
 @lru_cache(maxsize=None)
@@ -34,53 +55,85 @@ class SeriesSpace:
             raise ValidationError(f"series need at least one variable, got {dim!r}")
         if not isinstance(degree, int) or degree < 1:
             raise ValidationError(f"truncation degree must be >= 1, got {degree!r}")
+        pairs = math.comb(degree + 2 * dim, 2 * dim)
+        if max(pairs, (degree + 1) ** dim) > MAX_TABLE_ENTRIES:
+            raise ValidationError(
+                f"series space of dimension {dim} and degree {degree} is too large: "
+                f"{pairs} product pairs and {(degree + 1) ** dim} packed slots, "
+                f"where at most {MAX_TABLE_ENTRIES} entries per table are allowed"
+            )
         self.dim = dim
         self.degree = degree
         self.base = degree + 1
         self.size = self.base ** dim
 
-        weights = np.array([self.base ** i for i in range(dim)], dtype=np.int64)
+        weights = self.base ** np.arange(dim, dtype=np.int64)
         self._weights = weights
 
-        alphas = []
-        for combo in _cartesian(range(self.base), repeat=dim):
-            if sum(combo) <= degree:
-                alphas.append(tuple(reversed(combo)))
-        alphas.sort(key=lambda a: (sum(a), a))
-        self.alphas = tuple(alphas)
-        packed = np.array([int(np.dot(a, weights)) for a in alphas], dtype=np.int64)
+        # every multi-index of total <= degree, in (total, multi-index) order:
+        # np.indices lists them lexicographically, so grouping by total is enough
+        grid = np.indices((self.base,) * dim).reshape(dim, -1).T
+        sums = grid.sum(axis=1)
+        grid = np.concatenate([grid[sums == k] for k in range(degree + 1)])
+        degrees = grid.sum(axis=1)
+        self.alphas = tuple(map(tuple, grid.tolist()))
+        packed = grid @ weights
         self.packed = packed
+        live = len(packed)
+        self.live = live
+        # compact column where each degree begins; degree k is starts[k]:starts[k+1]
+        starts = np.searchsorted(degrees, np.arange(degree + 2))
+        self.starts = starts
 
         totals = np.full(self.size, -1, dtype=np.int64)
-        for a, p in zip(alphas, packed):
-            totals[p] = sum(a)
+        totals[packed] = degrees
         self.totals = totals
         self.unused = np.flatnonzero(totals < 0)
         self.nonconstant = np.flatnonzero(totals >= 1)
+        compact = np.full(self.size, -1, dtype=np.intp)
+        compact[packed] = np.arange(live)
+        self.compact = compact
 
-        self.by_degree = {
-            k: packed[[sum(a) == k for a in alphas]] for k in range(degree + 1)
-        }
+        self.by_degree = {k: packed[starts[k]:starts[k + 1]] for k in range(degree + 1)}
+        widths = np.diff(starts)  # slots per degree
         # slots of degrees 1..D, one row each, padded past the row's width
-        rows = [self.by_degree[k] for k in range(1, degree + 1)]
-        widths = np.array([len(r) for r in rows])
-        self._degree_pad = np.arange(widths.max()) >= widths[:, None]
+        self._degree_pad = np.arange(widths[1:].max()) >= widths[1:, None]
         self._degree_table = np.zeros(self._degree_pad.shape, dtype=np.intp)
-        self._degree_table[~self._degree_pad] = np.concatenate(rows)
-        self.unit_packed = tuple(int(weights[i]) for i in range(dim))
+        self._degree_table[~self._degree_pad] = packed[1:]
+        self.unit_packed = tuple(int(w) for w in weights)
+        self.unit_compact = compact[weights]
 
-        # product table: every ordered pair of valid indices whose totals fit
-        lhs, rhs, out = [], [], []
-        for a, pa in zip(alphas, packed):
-            room = degree - sum(a)
-            for b, pb in zip(alphas, packed):
-                if sum(b) <= room:
-                    lhs.append(pa)
-                    rhs.append(pb)
-                    out.append(pa + pb)
-        self._mul_lhs = np.array(lhs, dtype=np.int64)
-        self._mul_rhs = np.array(rhs, dtype=np.int64)
-        self._mul_out = np.array(out, dtype=np.int64)
+        # each slot of degree >= 1 is parents[c] times x_variables[c], where
+        # the variable is the first one the slot holds; the constant has -1
+        variables = np.where(grid > 0, np.arange(dim), dim).min(axis=1)
+        variables[0] = -1
+        parents = compact[packed - weights[variables]]
+        parents[0] = -1
+        self.parents = parents
+        self.variables = variables
+        # (slot, parent, variable) per compact column, as Python ints
+        self._chain = list(zip(range(live), parents.tolist(), variables.tolist()))
+
+        # product table: every ordered pair of valid indices whose totals fit.
+        # Since alphas are sorted by total, the right factors that fit beside
+        # a left factor of total t are the first starts[degree - t + 1].
+        fits = starts[degree - degrees + 1]
+        self._mul_lhs = packed[np.repeat(np.arange(live), fits)]
+        self._mul_rhs = packed[_runs(np.zeros_like(fits), fits)]
+        self._mul_out = self._mul_lhs + self._mul_rhs
+
+        # the same pairs restricted to factors of degree >= 1 and split by
+        # output degree k, in table order: each left factor of total t in
+        # 1..k-1 meets the block of right factors of total k - t.  Entries
+        # are (left, right, output - starts[k]) in compact columns.
+        products = []
+        for k in range(degree + 1):
+            lefts = np.arange(starts[1], starts[k])
+            rest = k - degrees[lefts]
+            left = np.repeat(lefts, widths[rest])
+            right = _runs(starts[rest], widths[rest])
+            products.append((left, right, compact[packed[left] + packed[right]] - starts[k]))
+        self.products_by_degree = tuple(products)
 
         self._diff_tables: dict[int, tuple] = {}
 
@@ -191,53 +244,57 @@ class SeriesSpace:
         out[..., dst] = cols[..., src] * fac
         return out
 
+    def support(self, cols: np.ndarray) -> np.ndarray:
+        """Compact columns of degree >= 1 where some row of `cols` is nonzero, in order."""
+        return np.flatnonzero(np.any(cols[:, self.packed[1:]] != 0, axis=0)) + 1
+
     def substitute(self, cols: np.ndarray, components) -> np.ndarray:
         """Evaluate a vector series on a tuple of scalar argument series.
 
         `cols` has shape (m, size); `components` holds one scalar series per
-        variable.  Monomial powers of the arguments are built once, bottom-up,
-        and shared across all m output rows.  Truncation at the space degree
-        is inherent in `mul`, so arguments with zero constant term produce the
-        exact truncated composition.
+        variable.  Each monomial that the support of `cols` needs is built
+        once, as the product of its parent monomial and one component (see
+        the module docstring), and shared across all m output rows; the
+        terms are added in compact-column order.  Truncation at the space
+        degree is inherent in `mul`, so arguments with zero constant term
+        produce the exact truncated composition.
         """
         cols = np.atleast_2d(cols)
         m = cols.shape[0]
         out = np.zeros((m, self.size), dtype=np.complex128)
         out[:, 0] = cols[:, 0]
 
+        units = self.unit_compact.tolist()
         memo: dict[int, np.ndarray] = {}
         for i, comp in enumerate(components):
-            memo[self.unit_packed[i]] = np.asarray(comp, dtype=np.complex128)
-
-        def monomial(p: int) -> np.ndarray:
-            got = memo.get(p)
-            if got is not None:
-                return got
-            alpha = self.alpha_of(p)
-            i = next(k for k, a in enumerate(alpha) if a > 0)
-            val = self.mul(monomial(p - self.unit_packed[i]), memo[self.unit_packed[i]])
-            memo[p] = val
-            return val
-
-        support = [
-            p for p, a in zip(self.packed, self.alphas)
-            if sum(a) >= 1 and np.any(cols[:, p] != 0)
-        ]
-        for p in support:
-            out += cols[:, p, None] * monomial(int(p))[None, :]
+            memo[units[i]] = np.asarray(comp, dtype=np.complex128)
+        chain = self._chain
+        for c in self.support(cols).tolist():
+            pending = []  # c and those of its ancestors not built yet
+            q = c
+            while q not in memo:
+                pending.append(q)
+                q = chain[q][1]
+            for q in reversed(pending):
+                _, parent, var = chain[q]
+                memo[q] = self.mul(memo[parent], memo[units[var]])
+            out += cols[:, self.packed[c], None] * memo[c][None, :]
         return out
 
     def evaluate(self, cols: np.ndarray, point) -> np.ndarray:
-        """Value of a vector series at a concrete argument vector."""
+        """Value of a vector series at a concrete argument vector.
+
+        The monomial values are built along the parent chains, one scalar
+        product per live slot, in compact-column order.
+        """
         point = np.asarray(point, dtype=np.complex128).reshape(-1)
         if point.shape != (self.dim,):
             raise ValidationError(
                 f"expected a point with {self.dim} components, got {point.shape[0]}"
             )
-        vals = np.zeros(self.size, dtype=np.complex128)
-        vals[0] = 1.0
-        for a, p in zip(self.alphas[1:], self.packed[1:]):
-            i = next(k for k, ai in enumerate(a) if ai > 0)
-            vals[p] = vals[p - self.unit_packed[i]] * point[i]
+        x = point.tolist()
+        vals = [1.0 + 0.0j] * self.live
+        for c, q, i in self._chain[1:]:
+            vals[c] = vals[q] * x[i]
         cols = np.atleast_2d(cols)
-        return cols[:, self.packed] @ vals[self.packed]
+        return cols[:, self.packed] @ np.array(vals)

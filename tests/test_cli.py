@@ -332,6 +332,33 @@ def test_malformed_input_exits_3_without_a_traceback(json_file, verb, obj):
     assert json.loads(out)["verb"] == verb
 
 
+def _oversized_germ(dim, degree):
+    zero = [[0.0, 0.0]] * dim
+    return {
+        "dim": dim, "index": 1, "degree": degree, "anchors": [zero],
+        "series": [{"anchor": 0, "terms": [{"alpha": [1] + [0] * (dim - 1), "coeff": [[0.1, 0.0]] + zero[1:]}]}],
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, obj",
+    [
+        (["germ-invert"], _oversized_germ(3, 40)),
+        (["germ-invert"], _oversized_germ(30, 1)),
+        (["estimate-verify", "--r", "0.1", "--degree", "5000"],
+         {"family": [{"terms": [{"alpha": [1], "coeff": [[1.0, 0.0]]}], "radius": 1.0}]}),
+    ],
+    ids=["germ-dim3-degree40", "germ-dim30-degree1", "family-degree5000"],
+)
+def test_oversized_series_spaces_exit_3_without_a_traceback(json_file, argv, obj):
+    code, out, err = run_process([*argv, json_file(obj, "big.json")])
+    assert code == 3
+    assert "Traceback" not in err
+    report = json.loads(out)
+    assert report["verb"] == argv[0]
+    assert "too large" in report["error"]
+
+
 def test_limit_verify_with_the_builtin_certificate():
     code, report = run(["limit-verify", "--map", "matrix2-commutator", "--samples", "25"])
     assert code == 0

@@ -57,6 +57,28 @@ def test_complex_monomial_recovery():
     assert abs(coef[0] - c) < 1e-12
 
 
+def _per_node_coefficient(sample, v, s, k, quadrature):
+    """The quadrature with its weight exp(-i k theta) taken node by node."""
+    v = np.asarray(v, dtype=np.complex128)
+    angles = 2.0 * math.pi * np.arange(quadrature) / quadrature
+    nodes = s * np.exp(1j * angles)
+    acc = np.zeros(sample.dim, dtype=np.complex128)
+    for z, theta in zip(nodes, angles):
+        acc += sample(sample.center + z * v) * np.exp(-1j * k * theta)
+    return acc / (quadrature * s**k)
+
+
+@pytest.mark.parametrize("quadrature", [5, 32, 256])
+def test_weights_taken_once_per_call_match_the_per_node_loop(quadrature):
+    rng = generator(8)
+    terms = {(1, 0): [0.5, 0.1j], (2, 1): [0.2 - 0.3j, 0.7], (0, 3): [0.1, -0.4]}
+    smp = sample_from_polynomial(terms, [0.1, -0.2j], 1.0, degree=6)
+    v = np.exp(2j * math.pi * rng.random(2))
+    for k in range(9):
+        got = cauchy_directional_coefficient(smp, v, 0.9, k, quadrature)
+        assert got.tobytes() == _per_node_coefficient(smp, v, 0.9, k, quadrature).tobytes()
+
+
 # -- polarization -------------------------------------------------------------
 
 
@@ -111,6 +133,28 @@ def test_singleton_family_reduces_to_the_one_map_bound():
     )
     assert report.verdict is True
 
+
+
+def test_a_false_bound_below_the_old_slack_is_refused():
+    # f(x) = 1e-10 x claims sup 0: lhs = 5e-13 > rhs = 0, a false bound that
+    # an absolute slack of 1e-12 used to accept
+    smp = AnalyticSample(
+        lambda p: 1e-10 * p, np.zeros(1), 1.0, 0.0, majorants=(0.0, 1e-10) + (0.0,) * 7
+    )
+    report = verify_bounded_series([smp], 0.005)
+    assert (report.lhs, report.rhs) == (5e-13, 0.0)
+    assert report.verdict is False
+
+
+@pytest.mark.parametrize("rel, verdict", [(1e-14, False), (-1e-14, True)])
+def test_verdict_is_exact_next_to_the_right_side(rel, verdict):
+    # lhs = 0.1 b sits a relative 1e-14 above or below R/(R - 2er) * sup
+    rhs = 1.0 / (1.0 - 0.2 * math.e)
+    smp = AnalyticSample(
+        lambda p: p, np.zeros(1), 1.0, 1.0, majorants=(0.0, rhs * (1.0 + rel) / 0.1)
+    )
+    report = verify_bounded_series([smp], 0.1, degree=1)
+    assert report.verdict is verdict
 
 def test_probed_route_reproduces_stored_majorants_up_to_polarization():
     terms = {1: 0.3, 2: 0.2}

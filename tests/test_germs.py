@@ -3,13 +3,21 @@
 Independent oracles used below: plain convolution for the scalar
 composition, central finite differences for the directional derivative,
 exact-fraction series reversion and a matrix inverse for the two inversion
-examples.
+examples.  The one-pass inversion and the substitutions under composition
+are also checked bit for bit against the loops they replaced
+(`loop_references`).
 """
 
 import math
 
 import numpy as np
 import pytest
+from loop_references import (
+    chart_components,
+    reference_inverse_blocks,
+    reference_substitute,
+    same_bits,
+)
 
 from lbcalc.acceptance import lagrange_reversion
 from lbcalc.errors import DomainError, InternalCheckError, ValidationError
@@ -254,6 +262,50 @@ def test_residual_collapses_on_zero_arguments():
     assert r.index == 6
     assert r.terms() == {(2,): pytest.approx([0.5])}
 
+
+
+def _family(seed, dim, count, terms, index, d_target):
+    anchors = AnchorSet([np.zeros(dim), np.full(dim, 3.0)][:count])
+    return random_germ(generator(seed), anchors, index, degree=8, terms=terms, d_target=d_target)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("count", [1, 2], ids=["one-anchor", "two-anchors"])
+@pytest.mark.parametrize("terms", [5, 1000], ids=["sparse", "dense"])
+def test_one_pass_inversion_matches_the_degree_loop(dim, count, terms):
+    for seed in range(3):
+        g = _family(100 * dim + 10 * count + seed, dim, count, terms, 1 + seed, 0.1 + 0.15 * seed)
+        h = invert(g)
+        want = reference_inverse_blocks(g)
+        assert all(same_bits(got, ref) for got, ref in zip(h.coeffs, want))
+
+
+def test_one_pass_inversion_of_a_linear_germ_matches_the_degree_loop():
+    # only the unit slots are nonzero, so no monomial of degree >= 2 is read
+    g = Germ.from_terms(ORIGIN2, 3, [{(1, 0): [0.2, 0.05], (0, 1): [0.1, -0.15]}])
+    assert same_bits(invert(g).coeffs[0], reference_inverse_blocks(g)[0])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("terms", [6, 1000], ids=["sparse", "dense"])
+def test_composition_substitutions_match_the_memoised_monomials(dim, terms):
+    sp = space(dim, 8)
+    for seed in range(3):
+        outer = _family(7 * dim + seed, dim, 2, terms, 2, 0.3)
+        inner = _family(70 * dim + seed, dim, 2, terms, 12, 0.4)
+        for cols1, cols2 in zip(outer.coeffs, inner.coeffs):
+            u = chart_components(sp, cols2)
+            assert same_bits(sp.substitute(cols1, u), reference_substitute(sp, cols1, u))
+            # the d*d-row Jacobian that compose_derivative substitutes
+            jac = np.concatenate([sp.differentiate(cols1, j) for j in range(dim)], axis=0)
+            assert jac.shape[0] == dim * dim
+            assert same_bits(sp.substitute(jac, u), reference_substitute(sp, jac, u))
+        comp = compose(outer, inner)
+        want = [
+            reference_substitute(sp, c1, chart_components(sp, c2)) + c2
+            for c1, c2 in zip(outer.coeffs, inner.coeffs)
+        ]
+        assert all(same_bits(got, ref) for got, ref in zip(comp.coeffs, want))
 
 def test_inversion_requires_a_small_derivative():
     g = scalar_germ(9, {1: 0.6})

@@ -2,7 +2,8 @@
 
 One-variable cases are checked against plain convolution; multivariate
 identities use small integer coefficients so the expected equalities are
-exact in floating point.
+exact in floating point.  The index tables, `substitute` and `evaluate` are
+also checked bit for bit against the loops they replaced (`loop_references`).
 """
 
 import numpy as np
@@ -10,8 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loop_references import (
+    reference_evaluate,
+    reference_substitute,
+    reference_tables,
+    same_bits,
+)
+
 from lbcalc.errors import ValidationError
-from lbcalc.series import space
+from lbcalc.series import SeriesSpace, space
 
 
 def _poly_1d(sp, coeffs):
@@ -202,3 +210,88 @@ def test_product_matches_an_unbuffered_scatter():
         want = np.zeros(sp.size, dtype=np.complex128)
         np.add.at(want, sp._mul_out, a[sp._mul_lhs] * b[sp._mul_rhs])
         assert sp.mul(a, b).tobytes() == want.tobytes()
+
+
+# -- the tables and the table-driven operations against their loop references ---
+
+
+@pytest.mark.parametrize("dim, degree", [(1, 1), (1, 8), (2, 1), (2, 8), (3, 4), (3, 8), (4, 5)])
+def test_tables_match_the_double_loop(dim, degree):
+    sp = SeriesSpace(dim, degree)
+    alphas, packed, lhs, rhs, out = reference_tables(dim, degree)
+    assert sp.alphas == tuple(alphas)
+    assert sp.packed.tolist() == packed
+    assert sp._mul_lhs.tolist() == lhs
+    assert sp._mul_rhs.tolist() == rhs
+    assert sp._mul_out.tolist() == out
+    column = {p: c for c, p in enumerate(packed)}
+    total = {p: sum(a) for a, p in zip(alphas, packed)}
+    assert {p: int(sp.compact[p]) for p in packed} == column
+    assert np.count_nonzero(sp.compact >= 0) == len(packed) == sp.live
+    for k in range(degree + 1):
+        assert sp.by_degree[k].tolist() == [p for p in packed if total[p] == k]
+        assert sp.packed[sp.starts[k]:sp.starts[k + 1]].tolist() == sp.by_degree[k].tolist()
+    assert sp.unit_compact.tolist() == [column[w] for w in sp.unit_packed]
+    # each slot extends its parent by the first variable it holds, as the
+    # memoised `monomial` chose it
+    for c, (a, p) in enumerate(zip(alphas, packed)):
+        if c == 0:
+            assert (sp.parents[0], sp.variables[0]) == (-1, -1)
+            continue
+        i = next(k for k, ai in enumerate(a) if ai > 0)
+        assert sp.variables[c] == i
+        assert sp.parents[c] == column[p - sp.unit_packed[i]]
+    # the per-degree tables: the pairs with both factors of degree >= 1, in table order
+    for k in range(degree + 1):
+        want = [
+            (column[l], column[r], column[o] - sp.starts[k])
+            for l, r, o in zip(lhs, rhs, out)
+            if total[l] >= 1 and total[r] >= 1 and total[o] == k
+        ]
+        got = list(zip(*(part.tolist() for part in sp.products_by_degree[k])))
+        assert got == want
+
+
+def _random_cols(rng, sp, rows, dense):
+    """(rows, size) coefficients on every live slot, or on five random ones."""
+    cols = sp.zeros(rows)
+    slots = sp.packed if dense else rng.choice(sp.packed[1:], size=min(5, sp.live - 1), replace=False)
+    cols[:, slots] = rng.standard_normal((rows, slots.size)) + 1j * rng.standard_normal((rows, slots.size))
+    return cols
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+def test_substitution_matches_the_memoised_monomials(dim, dense):
+    rng = np.random.default_rng(11 + dim)
+    sp = space(dim, 8)
+    for trial in range(4):
+        cols = _random_cols(rng, sp, dim, dense)
+        comps = [0.3 * _random_cols(rng, sp, 1, dense)[0] for _ in range(dim)]
+        if trial % 2 == 0:  # zero constant terms, as in a composition
+            for comp in comps:
+                comp[0] = 0.0
+        got = sp.substitute(cols, comps)
+        assert same_bits(got, reference_substitute(sp, cols, comps))
+    # a zero series touches no monomial
+    assert same_bits(sp.substitute(sp.zeros(dim), comps), reference_substitute(sp, sp.zeros(dim), comps))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+def test_evaluation_matches_the_per_slot_loop(dim, dense):
+    rng = np.random.default_rng(31 + dim)
+    sp = space(dim, 8)
+    for _ in range(10):
+        cols = _random_cols(rng, sp, dim, dense)
+        x = 0.7 * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        assert same_bits(sp.evaluate(cols, x), reference_evaluate(sp, cols, x))
+
+
+@pytest.mark.parametrize("dim, degree", [(3, 40), (1, 2000), (30, 1)])
+def test_oversized_spaces_are_refused(dim, degree):
+    # (3, 40) has C(46, 6) = 9,366,819 product pairs, (1, 2000) has 2,003,001;
+    # (30, 1) has 61 pairs but 2**30 packed slots
+    with pytest.raises(ValidationError, match="too large"):
+        SeriesSpace(dim, degree)
+
