@@ -20,6 +20,9 @@ Exit codes: 0 success or verdict true, 1 verdict false, 2 usage error,
 verb dispatches on its input schema: matrix JSON runs the matrix
 combination, series JSON runs the Dirichlet series one.  Reports carry a
 "guarantee" field naming the bound the output is certified against.
+JSON inputs follow one number policy (`lbcalc.jsonio`): numbers are finite
+JSON numbers, integers JSON ints, complex values [re, im] pairs; booleans,
+strings (numeric ones too), NaN and Infinity exit 3, like any bad input.
 Identical argv, seed and inputs produce byte-identical reports; --seed
 falls back to the LBCALC_SEED environment variable, then 0.
 """
@@ -57,6 +60,7 @@ from .germs import (
     residual,
     sup_norm,
 )
+from .jsonio import fields, integer, items, number, numbers, pairs
 from .limits import (
     build_certificate,
     certificate_from_json,
@@ -69,21 +73,6 @@ from .limits import (
 )
 from .matrices import bch, compatible_norm, matrix_from_json, matrix_to_json
 from .sampling import generator
-
-VERBS = (
-    "bch",
-    "dirichlet-bracket",
-    "dirichlet-norm",
-    "dirichlet-eval",
-    "germ-compose",
-    "germ-invert",
-    "estimate-verify",
-    "limit-certify",
-    "limit-verify",
-    "modulus-dirichlet",
-    "modulus-germ",
-    "suite",
-)
 
 @dataclass
 class Command:
@@ -186,13 +175,19 @@ def parse(argv) -> Command:
     )
 
 
+def _refuse_constant(name: str):
+    raise ValidationError(f"{name} is not a JSON number (RFC 8259, section 6)")
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_refuse_constant)
     except FileNotFoundError:
         raise ValidationError(f"input file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}")
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, nesting too deep
         raise ValidationError(f"{path} is not valid JSON: {exc}")
 
 
@@ -208,10 +203,6 @@ def _emit(report: dict) -> str:
     return json.dumps(
         report, sort_keys=True, separators=(", ", ": "), default=_json_default
     )
-
-
-def _complex_fields(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
 
 
 # -- verb handlers -----------------------------------------------------------
@@ -243,8 +234,7 @@ def _run_bch(cmd: Command):
 
 
 def _run_dirichlet_bracket(cmd: Command):
-    g1 = series_from_json(_load_json(cmd.inputs[0]))
-    g2 = series_from_json(_load_json(cmd.inputs[1]))
+    g1, g2 = (series_from_json(_load_json(p)) for p in cmd.inputs)
     s = cmd.options["s"]
     out = bracket(g1, g2)
     return {
@@ -270,7 +260,7 @@ def _run_dirichlet_eval(cmd: Command):
     g = series_from_json(_load_json(cmd.inputs[0]))
     z = cmd.options["z"]
     report = {
-        "z": _complex_fields(z),
+        "z": {"re": z.real, "im": z.imag},
         "value": matrix_to_json(evaluate(g, z)),
         "exp": matrix_to_json(exp_pointwise(g, z)),
         "guarantee": "finite support makes both evaluations exact sums",
@@ -286,8 +276,7 @@ def _run_dirichlet_eval(cmd: Command):
 
 
 def _run_germ_compose(cmd: Command):
-    outer = germ_from_json(_load_json(cmd.inputs[0]))
-    inner = germ_from_json(_load_json(cmd.inputs[1]))
+    outer, inner = (germ_from_json(_load_json(p)) for p in cmd.inputs)
     out = compose(outer, inner)
     return {
         "result": germ_to_json(out),
@@ -313,25 +302,22 @@ def _run_germ_invert(cmd: Command):
 
 
 def _family_from_json(obj, degree: int, probe: bool):
-    if not isinstance(obj, dict) or not isinstance(obj.get("family"), list):
-        raise ValidationError("estimate input must be an object with a 'family' list")
     members = []
-    for k, entry in enumerate(obj["family"]):
-        try:
-            terms = {}
-            for t in entry["terms"]:
-                terms[tuple(int(a) for a in t["alpha"])] = np.asarray(
-                    [complex(c[0], c[1]) if isinstance(c, list) else complex(c) for c in t["coeff"]]
-                )
-            center = entry.get("center", [0.0] * len(next(iter(terms), ())))
-            center = np.asarray(center, dtype=np.complex128).reshape(-1)
-            radius = float(entry["radius"])
-        except KeyError as exc:
-            raise ValidationError(f"family member {k} is missing the {exc} field")
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ValidationError(f"family member {k} is malformed: {exc}")
+    family = items(fields(obj, "estimate input", ("family",))["family"], "family")
+    for k, entry in enumerate(family):
+        what = f"family member {k}"
+        entry = fields(entry, what, ("terms", "radius"))
+        terms = {}
+        for t in items(entry["terms"], f"{what} terms"):
+            t = fields(t, f"{what} term", ("alpha", "coeff"))
+            alpha = items(t["alpha"], f"{what} alpha")
+            alpha = tuple(integer(a, f"{what} alpha entry", 0) for a in alpha)
+            terms[alpha] = pairs(t["coeff"], f"{what} coefficient")
+        center = entry.get("center", [0.0] * len(next(iter(terms), ())))
+        center = np.asarray(numbers(center, f"{what} center"), dtype=np.complex128)
         if center.size == 0:
-            raise ValidationError(f"family member {k} needs a 'center' or at least one term")
+            raise ValidationError(f"{what} needs a 'center' or at least one term")
+        radius = number(entry["radius"], f"{what} radius")
         sample = sample_from_polynomial(
             terms, center, radius, degree=degree, label=entry.get("label", f"member-{k}")
         )
@@ -358,12 +344,9 @@ def _run_estimate_verify(cmd: Command):
 
 
 def _run_limit_certify(cmd: Command):
-    obj = _load_json(cmd.inputs[0])
-    if not isinstance(obj, dict) or "step_sups" not in obj:
-        raise ValidationError("certificate input must be an object with 'step_sups'")
-    cert = build_certificate(
-        obj["step_sups"], cmd.options["big_r"], cmd.options["r"], cmd.options["epsilon"]
-    )
+    obj = fields(_load_json(cmd.inputs[0]), "certificate input", ("step_sups",))
+    sups = numbers(obj["step_sups"], "step sups")
+    cert = build_certificate(sups, cmd.options["big_r"], cmd.options["r"], cmd.options["epsilon"])
     out = cert.to_json()
     out["guarantee"] = "radii sum below r and each delta_n stays below a_n"
     return out, 0

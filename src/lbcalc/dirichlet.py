@@ -26,6 +26,7 @@ import numpy as np
 
 from . import words as _words
 from .errors import DomainError, ValidationError
+from .jsonio import fields, integer, items
 from .matrices import (
     BCH_DOMAIN_RADIUS,
     as_matrix,
@@ -109,16 +110,13 @@ class DirichletSeries:
     @classmethod
     def from_terms(cls, terms: dict, dim: int | None = None) -> "DirichletSeries":
         """Build from a {frequency: matrix} mapping."""
-        items = sorted(terms.items())
-        if not items and dim is None:
+        entries = sorted(terms.items())
+        if not entries and dim is None:
             raise ValidationError("an empty series needs an explicit dimension")
         mats = []
         freqs = []
-        for n, a in items:
-            if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n < 2**63:
-                raise ValidationError(
-                    f"frequency must be a positive integer below 2^63, got {n!r}"
-                )
+        for n, a in entries:
+            integer(n, "frequency", 1)
             arr = as_matrix(a, dim=dim)
             if dim is None:
                 dim = arr.shape[0]
@@ -277,6 +275,15 @@ def evaluate(gamma: DirichletSeries, z: complex) -> np.ndarray:
     return np.einsum("p,pab->ab", weights, gamma.mats)
 
 
+class _Blocks(list):
+    """(freqs, mats) blocks, the element that `bch_series` runs through
+    `words.apply_plan`: scaling scales each block and a sum joins the lists,
+    so the weighted nodes are canonicalized once, at the end."""
+
+    def __rmul__(self, weight: float) -> list:
+        return [(f, weight * m) for f, m in self]
+
+
 def bch_series(
     g1: DirichletSeries, g2: DirichletSeries, s: float, order: int
 ) -> DirichletSeries:
@@ -284,10 +291,10 @@ def bch_series(
 
     Gated by norm_s(g1) + norm_s(g2) < log(3/2), the radius within which the
     series converges for any norm with a submultiplicative bracket.  Support
-    is exact: frequency products are never truncated.  The walk follows
-    `words.evaluation_plan`, one left-normed basis bracket [parent, letter]
-    per node, so each node costs one bracket against a leaf series and keeps
-    only the frequencies it reaches; the weighted nodes are summed at the end.
+    is exact: frequency products are never truncated.  The walk is
+    `words.apply_plan`, one left-normed basis bracket [parent, letter] per
+    node, so each node costs one bracket against a leaf series and keeps only
+    the frequencies it reaches; the weighted nodes are summed at the end.
     """
     if g1.dim != g2.dim:
         raise ValidationError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
@@ -306,19 +313,13 @@ def bch_series(
             f"frequency products up to {max(tops)}^{order} leave the exact "
             "integer range; reduce the support or the order"
         )
-    leaves = ((g1.freqs, g1.mats), (g2.freqs, g2.mats))
-    values = []
-    acc_f, acc_m = [], []
-    for parent, letter, weight in _words.evaluation_plan(order):
-        lf, lm = leaves[letter]
-        v = (lf, lm) if parent is None else _bracket_terms(*values[parent], lf, lm, d)
-        values.append(v)
-        if weight and v[0].size:
-            acc_f.append(v[0])
-            acc_m.append(weight * v[1])
-    if not acc_f:
-        return zero_series(d)
-    return DirichletSeries(np.concatenate(acc_f), np.concatenate(acc_m), dim=d)
+
+    def bracket_blocks(u, v):
+        return _Blocks([_bracket_terms(*u[0], *v[0], d)])
+
+    leaves = (_Blocks([(g1.freqs, g1.mats)]), _Blocks([(g2.freqs, g2.mats)]))
+    freqs, mats = zip(*_words.apply_plan(order, *leaves, bracket_blocks))
+    return DirichletSeries(np.concatenate(freqs), np.concatenate(mats), dim=d)
 
 
 def exp_pointwise(gamma: DirichletSeries, z: complex) -> np.ndarray:
@@ -360,19 +361,13 @@ def series_to_json(gamma: DirichletSeries) -> dict:
 
 
 def series_from_json(obj) -> DirichletSeries:
-    if not isinstance(obj, dict) or "dim" not in obj or "terms" not in obj:
-        raise ValidationError("series JSON must be an object with 'dim' and 'terms'")
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise ValidationError(f"series dimension must be a positive integer, got {dim!r}")
+    obj = fields(obj, "series JSON", ("dim", "terms"))
+    dim = integer(obj["dim"], "series dimension", 1)
     terms = {}
     last = 0
-    for entry in obj["terms"]:
-        if not isinstance(entry, dict) or "n" not in entry or "coeff" not in entry:
-            raise ValidationError("each term needs 'n' and 'coeff'")
-        n = entry["n"]
-        if not isinstance(n, int) or n < 1:
-            raise ValidationError(f"frequency must be a positive integer, got {n!r}")
+    for entry in items(obj["terms"], "series terms"):
+        entry = fields(entry, "series term", ("n", "coeff"))
+        n = integer(entry["n"], "frequency", 1)
         if n <= last:
             raise ValidationError("terms must be sorted by strictly increasing frequency")
         last = n

@@ -88,13 +88,17 @@ def _block_sample(sp, cols: np.ndarray, center, radius: float, label: str) -> An
     """Sample of the series block `cols` around `center`, read off its coefficients.
 
     majorants[k] is the degree-k coefficient sum and sup_bound is
-    sum_k majorants[k] radius^k.
+    sum_k majorants[k] radius^k; a radius^k beyond the float range makes it
+    infinite, which AnalyticSample refuses.
     """
     coeff_norm = np.abs(cols).max(axis=0)
     majorants = [float(coeff_norm[0])] + sp.degree_sums(coeff_norm).tolist()
     sup = 0.0
-    for k, m in enumerate(majorants):
-        sup += m * radius**k
+    try:
+        for k, m in enumerate(majorants):
+            sup += m * radius**k
+    except OverflowError:
+        sup = math.inf
 
     def evaluator(point, _sp=sp, _cols=cols, _c=center):
         return _sp.evaluate(_cols, np.asarray(point) - _c)

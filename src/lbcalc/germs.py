@@ -32,6 +32,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, InternalCheckError, ValidationError
+from .jsonio import fields, integer, items, pairs, pairs_to_json
 from .series import space
 
 DEFAULT_DEGREE = 8
@@ -54,7 +55,7 @@ class AnchorSet:
 
     __slots__ = ("points", "dim", "min_distance")
 
-    def __init__(self, points, dim: int | None = None):
+    def __init__(self, points):
         pts = []
         for p in points:
             arr = np.asarray(p, dtype=np.complex128).reshape(-1)
@@ -68,8 +69,6 @@ class AnchorSet:
         d = pts[0].size
         if any(p.size != d for p in pts):
             raise ValidationError("all anchors must share one dimension")
-        if dim is not None and d != dim:
-            raise ValidationError(f"expected anchors in dimension {dim}, got {d}")
         mind = math.inf
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
@@ -163,21 +162,13 @@ class Germ:
 
     # Germs form a vector space over C; sums take the coarser (larger) index,
     # which is the direction in which restriction is trivial.
-    def _check_peer(self, other: "Germ"):
-        if not isinstance(other, Germ):
-            raise ValidationError(f"expected a germ, got {type(other).__name__}")
-        if self.anchors != other.anchors:
-            raise ValidationError("germs live over different anchor sets")
-        if self.degree != other.degree:
-            raise ValidationError("germs use different truncation degrees")
-
     def __add__(self, other: "Germ") -> "Germ":
-        self._check_peer(other)
+        _check_frames(self, other)
         idx = max(self.index, other.index)
         return Germ(self.anchors, idx, self._stack + other._stack, self.degree)
 
     def __sub__(self, other: "Germ") -> "Germ":
-        self._check_peer(other)
+        _check_frames(self, other)
         idx = max(self.index, other.index)
         return Germ(self.anchors, idx, self._stack - other._stack, self.degree)
 
@@ -195,8 +186,7 @@ class Germ:
 
 def _frame(anchors: AnchorSet, index: int, degree: int):
     """Series space of a germ frame, after the index and disjointness checks."""
-    if not isinstance(index, int) or isinstance(index, bool) or index < 1:
-        raise ValidationError(f"germ index must be a positive integer, got {index!r}")
+    integer(index, "germ index", 1)
     sp = space(anchors.dim, degree)
     if len(anchors) > 1 and not (2.0 / index < anchors.min_distance):
         raise DomainError(
@@ -214,9 +204,9 @@ def sum_germs(germs) -> Germ:
     first = germs[0]
     if len(germs) == 1:
         return first
+    _check_frames(*germs)
     total = first._stack
     for g in germs[1:]:
-        first._check_peer(g)
         total = total + g._stack
     return Germ(first.anchors, max(g.index for g in germs), total, first.degree)
 
@@ -321,8 +311,11 @@ def composition_codomain_index(n: int, d_bound: float) -> int:
 
 
 def _check_frames(*germs: Germ):
+    """All germs share the first one's anchor set and truncation degree."""
     first = germs[0]
     for g in germs[1:]:
+        if not isinstance(g, Germ):
+            raise ValidationError(f"expected a germ, got {type(g).__name__}")
         if g.anchors != first.anchors:
             raise ValidationError("germs live over different anchor sets")
         if g.degree != first.degree:
@@ -535,29 +528,11 @@ def evaluate_germ(g: Germ, anchor: int, offset) -> np.ndarray:
     return sp.evaluate(g.coeffs[anchor], offset)
 
 
-def _vector_to_json(v) -> list:
-    return [[float(c.real), float(c.imag)] for c in np.asarray(v, dtype=np.complex128)]
-
-
-def _vector_from_json(obj, dim: int, what: str) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != dim:
-        raise ValidationError(f"{what} must be a list of {dim} [re, im] pairs")
-    out = np.empty(dim, dtype=np.complex128)
-    for i, pair in enumerate(obj):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ValidationError(f"{what} component {i} must be a [re, im] pair")
-        try:
-            out[i] = complex(float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError):
-            raise ValidationError(f"{what} component {i} must hold two numbers, got {pair!r}")
-    return out
-
-
 def germ_to_json(g: Germ) -> dict:
     series = []
     for a in range(len(g.anchors)):
         terms = [
-            {"alpha": list(alpha), "coeff": _vector_to_json(vec)}
+            {"alpha": list(alpha), "coeff": pairs_to_json(vec)}
             for alpha, vec in sorted(g.terms(a).items(), key=lambda kv: (sum(kv[0]), kv[0]))
         ]
         series.append({"anchor": a, "terms": terms})
@@ -565,52 +540,25 @@ def germ_to_json(g: Germ) -> dict:
         "dim": g.dim,
         "index": g.index,
         "degree": g.degree,
-        "anchors": [_vector_to_json(p) for p in g.anchors.points],
+        "anchors": [pairs_to_json(p) for p in g.anchors.points],
         "series": series,
     }
 
 
 def germ_from_json(obj) -> Germ:
-    if not isinstance(obj, dict):
-        raise ValidationError("germ JSON must be an object")
-    for key in ("dim", "index", "degree", "anchors", "series"):
-        if key not in obj:
-            raise ValidationError(f"germ JSON is missing the '{key}' field")
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise ValidationError(f"germ dimension must be a positive integer, got {dim!r}")
-    for key in ("anchors", "series"):
-        if not isinstance(obj[key], list):
-            raise ValidationError(f"germ field '{key}' must be a list, got {obj[key]!r}")
-    anchors = AnchorSet(
-        [_vector_from_json(p, dim, "anchor") for p in obj["anchors"]], dim=dim
-    )
-    degree = obj["degree"]
-    if not isinstance(degree, int) or degree < 1:
-        raise ValidationError(f"truncation degree must be a positive integer, got {degree!r}")
-    terms_per_anchor = [dict() for _ in range(len(anchors))]
-    seen = set()
-    for block in obj["series"]:
-        if not isinstance(block, dict) or "anchor" not in block or "terms" not in block:
-            raise ValidationError("each series block needs 'anchor' and 'terms'")
-        if not isinstance(block["terms"], list) or not all(
-            isinstance(term, dict) and isinstance(term.get("alpha"), list) and "coeff" in term
-            for term in block["terms"]
-        ):
-            raise ValidationError("each term must be an object with an 'alpha' list and a 'coeff'")
-        a = block["anchor"]
-        if not isinstance(a, int) or not 0 <= a < len(anchors):
-            raise ValidationError(f"series block targets unknown anchor {a!r}")
-        if a in seen:
-            raise ValidationError(f"anchor {a} appears in two series blocks")
-        seen.add(a)
-        for term in block["terms"]:
-            alpha = tuple(term["alpha"])
-            if len(alpha) != dim or any(not isinstance(x, int) or x < 0 for x in alpha):
-                raise ValidationError(f"bad multi-index {term['alpha']!r}")
-            if not 1 <= sum(alpha) <= degree:
-                raise ValidationError(
-                    f"multi-index {alpha} outside the degree range 1..{degree}"
-                )
-            terms_per_anchor[a][alpha] = _vector_from_json(term["coeff"], dim, "coefficient")
-    return Germ.from_terms(anchors, obj["index"], terms_per_anchor, degree)
+    obj = fields(obj, "germ JSON", ("dim", "index", "degree", "anchors", "series"))
+    dim = integer(obj["dim"], "germ dimension", 1)
+    degree = integer(obj["degree"], "truncation degree", 1)
+    anchors = AnchorSet([pairs(p, "anchor", dim) for p in items(obj["anchors"], "germ anchors")])
+    terms_per_anchor = [None] * len(anchors)
+    for block in items(obj["series"], "germ series"):
+        block = fields(block, "series block", ("anchor", "terms"))
+        a = integer(block["anchor"], "series block anchor", 0)
+        if a >= len(anchors) or terms_per_anchor[a] is not None:
+            raise ValidationError(f"series block anchor {a} is unknown or repeated")
+        terms_per_anchor[a] = {}
+        for term in items(block["terms"], "series block terms"):
+            term = fields(term, "germ term", ("alpha", "coeff"))
+            alpha = tuple(integer(x, "alpha entry", 0) for x in items(term["alpha"], "alpha"))
+            terms_per_anchor[a][alpha] = pairs(term["coeff"], "coefficient", dim)
+    return Germ.from_terms(anchors, obj["index"], [t or {} for t in terms_per_anchor], degree)

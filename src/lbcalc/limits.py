@@ -24,13 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import polygamma
 
 from .dirichlet import DirichletSeries, norm_s, ordered_sum, sum_series, term_norms, zero_series
-from .errors import ConfigurationError, DomainError, InternalCheckError, ValidationError
+from .errors import DomainError, InternalCheckError, ValidationError
 from .germs import AnchorSet, Germ, degree_majorants, norms_at_index, sum_germs, zero_germ
+from .jsonio import fields, numbers
 from .matrices import compatible_norm
 from .sampling import random_germ, random_matrix, random_series
 
@@ -116,15 +118,6 @@ class GermSteps:
         return sum_germs(terms) if terms else self.zero()
 
 
-def _scale_norm(scale, j, x) -> float:
-    norm = getattr(scale, "norm", None)
-    if norm is None:
-        raise ConfigurationError(
-            f"scale {scale!r} does not provide a step norm implementation"
-        )
-    return norm(j, x)
-
-
 # -- neighborhoods ----------------------------------------------------------
 
 
@@ -149,7 +142,7 @@ def neighborhood_contains(delta, decomposition, scale) -> bool:
             )
         last = j
     for j, x in decomposition:
-        if not _scale_norm(scale, j, x) < delta[j - 1]:
+        if not scale.norm(j, x) < delta[j - 1]:
             return False
     return True
 
@@ -185,21 +178,20 @@ class ContinuityCertificate:
 def certificate_from_json(obj) -> ContinuityCertificate:
     """Load a certificate as stored, without re-deriving the radii.
 
-    Only structure and positivity are checked here, so a tampered delta
-    sequence loads fine and is then caught by sampling, not by parsing.
+    Only structure and the fit of delta are checked: each delta is positive
+    and their running sums stay below r.  A delta inflated within that room
+    loads fine and is then caught by sampling, not by parsing.
     """
-    if not isinstance(obj, dict):
-        raise ValidationError("certificate JSON must be an object")
-    for key in ("R", "r", "epsilon", "step_sups", "a", "b", "delta"):
-        if key not in obj:
-            raise ValidationError(f"certificate JSON is missing '{key}'")
-    radius, r, epsilon = _floats([obj["R"], obj["r"], obj["epsilon"]], "R, r and epsilon")
-    lists = {k: _floats(obj[k], k) for k in ("step_sups", "a", "b", "delta")}
+    obj = fields(obj, "certificate JSON", ("R", "r", "epsilon", "step_sups", "a", "b", "delta"))
+    radius, r, epsilon = numbers([obj["R"], obj["r"], obj["epsilon"]], "R, r and epsilon")
+    lists = {k: numbers(obj[k], k) for k in ("step_sups", "a", "b", "delta")}
     sizes = {len(v) for v in lists.values()}
     if len(sizes) != 1:
         raise ValidationError("certificate lists must share one length")
     if any(v <= 0 for v in lists["delta"]):
         raise ValidationError("all delta radii must be positive")
+    if not all(total < r for total in accumulate(lists["delta"])):
+        raise ValidationError(f"the running sums of delta reach r = {r}")
     return ContinuityCertificate(
         radius=radius,
         r=r,
@@ -211,23 +203,16 @@ def certificate_from_json(obj) -> ContinuityCertificate:
     )
 
 
-def _floats(values, what: str) -> list:
-    """A list of numbers as floats; anything else is a ValidationError."""
-    if isinstance(values, (str, bytes, dict)):
-        raise ValidationError(f"{what} must be a list of numbers, got {values!r}")
-    try:
-        return [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} must be a list of numbers: {exc}") from exc
-
-
 def build_certificate(step_sups, radius: float, r: float, epsilon: float) -> ContinuityCertificate:
     """Certificate radii from per-step sup bounds, by the explicit formulas.
 
     A delta that underflows to 0 is refused: it certifies nothing, and
     `certificate_from_json` would refuse the certificate.
     """
-    sups = _floats(step_sups, "step sups")
+    try:
+        sups = [float(s) for s in step_sups]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"step sups must be a list of numbers: {exc}") from exc
     if not sups:
         raise ValidationError("at least one step sup is required")
     if any(not (s > 0 and math.isfinite(s)) for s in sups):
@@ -299,7 +284,7 @@ def verify_certificate(
             target = float(rng.random()) * cert.delta[j - 1] * _DRAW_SHAVE
             x = scale.random(j, rng, target)
             terms.append((j, x))
-            norms.append(_scale_norm(scale, j, x))
+            norms.append(scale.norm(j, x))
         # membership check, same strict balls neighborhood_contains uses,
         # on the norms already in hand
         for j, nj in enumerate(norms, start=1):

@@ -16,13 +16,13 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .words import MAX_ORDER, apply_plan, checked_order
+from .words import apply_plan, checked_order
 from .errors import DomainError, InternalCheckError, ValidationError
+from .jsonio import fields, integer, pairs, pairs_to_json
 
 NORM_SCALE = 2.0
 BCH_DOMAIN_RADIUS = math.log(1.5)
 BCH_RESULT_BOUND = math.log(2.0)
-MAX_BCH_ORDER = MAX_ORDER
 
 _EXP_REDUCTION = 0.25    # scaled 1-norm before the Taylor sum
 _EXP_TERMS = 22          # 0.25**23 / 23! is far below double roundoff
@@ -50,15 +50,13 @@ def one_norm(x) -> float:
     return float(np.abs(x).sum(axis=0).max())
 
 
-def compatible_norm(x, scale: float = NORM_SCALE) -> float:
-    """Bracket-compatible norm, scale * induced 1-norm.
+def compatible_norm(x) -> float:
+    """Bracket-compatible norm, twice the induced 1-norm.
 
-    With the default scale 2 the commutator satisfies
+    The commutator satisfies
     compatible_norm([x, y]) <= compatible_norm(x) * compatible_norm(y).
     """
-    if not (scale > 0) or not math.isfinite(scale):
-        raise ValidationError(f"norm scale must be positive and finite, got {scale}")
-    return scale * one_norm(x)
+    return NORM_SCALE * one_norm(x)
 
 
 def compatible_norms(stack) -> np.ndarray:
@@ -79,11 +77,13 @@ def mat_exp(x) -> np.ndarray:
 
     The argument is divided by an exact power of two until its 1-norm is at
     most 0.25, the truncated series is evaluated by Horner's scheme, and the
-    result is squared back up.
+    result is squared back up.  Past a 1-norm of 2^1021 that power overflows.
     """
     x = as_matrix(x)
     eye = np.eye(x.shape[0], dtype=np.complex128)
     norm = one_norm(x)
+    if not norm <= 2.0**1021:
+        raise DomainError(f"mat_exp needs a 1-norm of at most 2^1021, got {norm}")
     squarings = 0
     if norm > _EXP_REDUCTION:
         squarings = int(math.ceil(math.log2(norm / _EXP_REDUCTION)))
@@ -154,26 +154,12 @@ def bch(x, y, order: int) -> np.ndarray:
 def matrix_to_json(x) -> dict:
     """Serialize to {"dim": n, "entries": [[re, im], ...]} in row-major order."""
     x = as_matrix(x)
-    entries = [[float(v.real), float(v.imag)] for v in x.ravel()]
-    return {"dim": int(x.shape[0]), "entries": entries}
+    return {"dim": int(x.shape[0]), "entries": pairs_to_json(x)}
 
 
 def matrix_from_json(obj, dim: int | None = None) -> np.ndarray:
-    if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
-        raise ValidationError("matrix JSON needs 'dim' and 'entries' fields")
-    if dim is not None and obj["dim"] != dim:
-        raise ValidationError(f"expected a {dim}x{dim} matrix, got dim {obj['dim']!r}")
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise ValidationError(f"matrix dimension must be a positive integer, got {dim!r}")
-    entries = obj["entries"]
-    if not isinstance(entries, list) or len(entries) != dim * dim:
-        raise ValidationError(
-            f"expected {dim * dim} entries for dimension {dim}, got {len(entries) if isinstance(entries, list) else type(entries).__name__}"
-        )
-    flat = []
-    for pair in entries:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ValidationError(f"each entry must be a [re, im] pair, got {pair!r}")
-        flat.append(complex(float(pair[0]), float(pair[1])))
-    return as_matrix(np.array(flat, dtype=np.complex128).reshape(dim, dim))
+    obj = fields(obj, "matrix JSON", ("dim", "entries"))
+    n = integer(obj["dim"], "matrix dimension", 1)
+    if dim is not None and n != dim:
+        raise ValidationError(f"expected a {dim}x{dim} matrix, got dim {n}")
+    return as_matrix(pairs(obj["entries"], "matrix entries", n * n).reshape(n, n))

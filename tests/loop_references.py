@@ -1,17 +1,22 @@
-"""Loop references for the table-driven series code and the one-pass inversion.
+"""Loop references for the table-driven series code, the one-pass inversion
+and the Dirichlet BCH walk.
 
 These are the algorithms that `lbcalc.series` and `lbcalc.germs.invert` used
 before their index tables existed: the double-loop table build, the memoised
 `monomial` substitution, the per-slot evaluation and the degree-by-degree
-inversion, which runs one full substitution per degree.  The tests require
-the new code to agree with them bit for bit.
+inversion, which runs one full substitution per degree.  The last is the plan
+walk that `dirichlet.bch_series` kept before it ran through
+`words.apply_plan`.  The tests require the new code to agree with them bit
+for bit.
 """
 
 from itertools import product
 
 import numpy as np
 
+from lbcalc.dirichlet import DirichletSeries, _bracket_terms, zero_series
 from lbcalc.series import space
+from lbcalc.words import evaluation_plan
 
 
 def reference_tables(dim, degree):
@@ -101,3 +106,20 @@ def same_bits(a, b) -> bool:
     """Equal shape, dtype and bytes: stricter than np.array_equal, which lets -0.0 == 0.0."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def reference_bch_series(g1, g2, order):
+    """bch_series' own walk of the plan, on bare (freqs, mats) pairs."""
+    d = g1.dim
+    leaves = ((g1.freqs, g1.mats), (g2.freqs, g2.mats))
+    values, acc_f, acc_m = [], [], []
+    for parent, letter, weight in evaluation_plan(order):
+        lf, lm = leaves[letter]
+        v = (lf, lm) if parent is None else _bracket_terms(*values[parent], lf, lm, d)
+        values.append(v)
+        if weight and v[0].size:
+            acc_f.append(v[0])
+            acc_m.append(weight * v[1])
+    if not acc_f:
+        return zero_series(d)
+    return DirichletSeries(np.concatenate(acc_f), np.concatenate(acc_m), dim=d)

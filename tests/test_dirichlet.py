@@ -26,6 +26,7 @@ from lbcalc.dirichlet import (
 from lbcalc.errors import DomainError, ValidationError
 from lbcalc.matrices import bch, commutator, compatible_norm, mat_exp
 from lbcalc.sampling import generator, random_series
+from loop_references import reference_bch_series
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 A = np.array([[0.1, 0.2], [0.0, -0.1]], dtype=complex)
@@ -403,3 +404,15 @@ def test_random_series_matches_build_then_rescale(s, target):
         assert _same_bits(got.mats, want.mats)
     # both generators consumed the same draws
     assert rng_fast.random() == rng_ref.random()
+
+
+@pytest.mark.parametrize("pool, order", [((2, 3, 5), 8), ((2, 3, 5, 7, 11, 13), 8), ((1, 2, 3), 12)])
+def test_bch_series_matches_its_own_plan_walk(pool, order):
+    rng = generator(31)
+    for _ in range(3):
+        g1 = random_series(rng, 2, pool, 2, s=0.0, target=0.12)
+        g2 = random_series(rng, 2, pool, 2, s=0.0, target=0.15)
+        got = bch_series(g1, g2, 0.0, order)
+        want = reference_bch_series(g1, g2, order)
+        assert _same_bits(got.freqs, want.freqs)
+        assert _same_bits(got.mats, want.mats)

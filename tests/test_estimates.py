@@ -82,6 +82,12 @@ def test_weights_taken_once_per_call_match_the_per_node_loop(quadrature):
 # -- polarization -------------------------------------------------------------
 
 
+def test_a_sup_bound_that_overflows_is_refused():
+    # radius^2 leaves the float range, so no finite sup bound exists
+    with pytest.raises(ValidationError, match="sup bound must be finite"):
+        sample_from_polynomial({(1,): [1.0]}, [0.0], 1e308)
+
+
 def test_polarization_values_at_small_degrees():
     assert polarization_factor(0) == (1.0, 1.0)
     assert polarization_factor(1).value == 2.0

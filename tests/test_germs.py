@@ -366,6 +366,16 @@ def test_germ_json_roundtrip():
         assert np.array_equal(a, b)
 
 
+def test_one_frame_check_for_sums_and_compositions():
+    g = scalar_germ(2, {2: 0.1})
+    other = Germ.from_terms(AnchorSet([[0.5]]), 2, [{(2,): [0.1]}])
+    for op in (lambda a, b: a + b, lambda a, b: sum_germs([a, b]), compose):
+        with pytest.raises(ValidationError, match="expected a germ"):
+            op(g, 5)
+        with pytest.raises(ValidationError, match="different anchor sets"):
+            op(g, other)
+
+
 def test_germ_json_rejects_bad_schemas():
     with pytest.raises(ValidationError):
         germ_from_json({"dim": 1, "index": 2})

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-import lbcalc.limits as limits
 from lbcalc.dirichlet import DirichletSeries, bracket, norm_s, zero_series
 from lbcalc.errors import DomainError, InternalCheckError, ValidationError
 from lbcalc.germs import AnchorSet, Germ, norms_at_index
@@ -448,11 +447,6 @@ def test_random_draws_respect_their_norm_target(scale, j):
         x = scale.random(j, rng, 0.01)
         assert scale.norm(j, x) <= 0.01 * (1.0 + 1e-9)
     assert scale.norm(j, scale.zero()) == 0.0
-
-
-def test_scales_without_norm_hooks_are_rejected():
-    with pytest.raises(limits.ConfigurationError, match="step norm"):
-        neighborhood_contains([0.1], [(1, matrix_term(0.0))], object())
 
 
 def _same_series(a, b):

@@ -43,11 +43,6 @@ def test_norm_of_a_single_entry():
     assert compatible_norm(0.1 * E12) == 0.2
 
 
-def test_norm_rejects_nonpositive_scale():
-    with pytest.raises(ValidationError):
-        compatible_norm(I2, scale=0.0)
-
-
 small_entries = st.floats(min_value=-0.05, max_value=0.05)
 
 
@@ -80,6 +75,13 @@ def test_exp_of_a_diagonal():
 def test_exp_of_a_nilpotent_terminates():
     got = mat_exp(0.1 * E12)
     assert np.max(np.abs(got - (I2 + 0.1 * E12))) < 1e-16
+
+
+def test_exp_refuses_norms_past_the_scaling_range():
+    # 2^1021 needs 2^1023 as its scaling power; anything larger overflows it
+    assert np.isfinite(mat_exp(2.0**1021 * E12)).all()
+    with pytest.raises(DomainError, match="2\\^1021"):
+        mat_exp(1e308 * E12)
 
 
 def test_log_of_the_identity_is_zero():
