@@ -35,6 +35,7 @@ from .matrices import (
     matrix_from_json,
     matrix_to_json,
 )
+from .series import MAX_TABLE_ENTRIES
 
 LEADING_PROBE_MIN = 2.0
 
@@ -275,15 +276,6 @@ def evaluate(gamma: DirichletSeries, z: complex) -> np.ndarray:
     return np.einsum("p,pab->ab", weights, gamma.mats)
 
 
-class _Blocks(list):
-    """(freqs, mats) blocks, the element that `bch_series` runs through
-    `words.apply_plan`: scaling scales each block and a sum joins the lists,
-    so the weighted nodes are canonicalized once, at the end."""
-
-    def __rmul__(self, weight: float) -> list:
-        return [(f, weight * m) for f, m in self]
-
-
 def bch_series(
     g1: DirichletSeries, g2: DirichletSeries, s: float, order: int
 ) -> DirichletSeries:
@@ -292,9 +284,10 @@ def bch_series(
     Gated by norm_s(g1) + norm_s(g2) < log(3/2), the radius within which the
     series converges for any norm with a submultiplicative bracket.  Support
     is exact: frequency products are never truncated.  The walk is
-    `words.apply_plan`, one left-normed basis bracket [parent, letter] per
-    node, so each node costs one bracket against a leaf series and keeps only
-    the frequencies it reaches; the weighted nodes are summed at the end.
+    `words.apply_plan`, one degree at a time and, inside a degree, one
+    left-normed basis bracket [parent, letter] per node, so each node costs
+    one bracket against a leaf series and keeps only the frequencies it
+    reaches; the weighted nodes are canonicalized once, at the end.
     """
     if g1.dim != g2.dim:
         raise ValidationError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
@@ -314,11 +307,14 @@ def bch_series(
             "integer range; reduce the support or the order"
         )
 
-    def bracket_blocks(u, v):
-        return _Blocks([_bracket_terms(*u[0], *v[0], d)])
+    def brackets(values, leaves, parents, letters):
+        pairs = zip(parents.tolist(), letters.tolist())
+        return [_bracket_terms(*values[p], *leaves[a], d) for p, a in pairs]
 
-    leaves = (_Blocks([(g1.freqs, g1.mats)]), _Blocks([(g2.freqs, g2.mats)]))
-    freqs, mats = zip(*_words.apply_plan(order, *leaves, bracket_blocks))
+    leaves = ((g1.freqs, g1.mats), (g2.freqs, g2.mats))
+    levels = _words.apply_plan(order, leaves, brackets)
+    freqs, mats = zip(*((v[i][0], w * v[i][1]) for v, positions, weights in levels
+                        for i, w in zip(positions.tolist(), weights.tolist())))
     return DirichletSeries(np.concatenate(freqs), np.concatenate(mats), dim=d)
 
 
@@ -363,6 +359,9 @@ def series_to_json(gamma: DirichletSeries) -> dict:
 def series_from_json(obj) -> DirichletSeries:
     obj = fields(obj, "series JSON", ("dim", "terms"))
     dim = integer(obj["dim"], "series dimension", 1)
+    if dim * dim > MAX_TABLE_ENTRIES:
+        raise ValidationError(f"series dimension {dim} is too large: its coefficients "
+                              f"have more than {MAX_TABLE_ENTRIES} entries")
     terms = {}
     last = 0
     for entry in items(obj["terms"], "series terms"):

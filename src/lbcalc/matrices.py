@@ -72,12 +72,19 @@ def commutator(x, y):
     return x @ y - y @ x
 
 
+def _stacked_commutators(values, leaves, parents, letters):
+    """[values[parents[i]], leaves[letters[i]]] for every i, on (n, d, d) stacks."""
+    p, a = values[parents], leaves[letters]
+    return p @ a - a @ p
+
+
 def mat_exp(x) -> np.ndarray:
     """Matrix exponential by power-of-two scaling and a Taylor sum.
 
     The argument is divided by an exact power of two until its 1-norm is at
     most 0.25, the truncated series is evaluated by Horner's scheme, and the
-    result is squared back up.  Past a 1-norm of 2^1021 that power overflows.
+    result is squared back up.  Past a 1-norm of 2^1021 that power overflows;
+    below it, a result whose entries overflow is refused with DomainError.
     """
     x = as_matrix(x)
     eye = np.eye(x.shape[0], dtype=np.complex128)
@@ -89,10 +96,13 @@ def mat_exp(x) -> np.ndarray:
         squarings = int(math.ceil(math.log2(norm / _EXP_REDUCTION)))
     scaled = x / (2.0 ** squarings)
     result = eye.copy()
-    for k in range(_EXP_TERMS, 0, -1):
-        result = eye + (scaled @ result) / k
-    for _ in range(squarings):
-        result = result @ result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(_EXP_TERMS, 0, -1):
+            result = eye + (scaled @ result) / k
+        for _ in range(squarings):
+            result = result @ result
+    if not np.all(np.isfinite(result.view(np.float64))):
+        raise DomainError(f"mat_exp overflows the double range at a 1-norm of {norm}")
     return result
 
 
@@ -130,9 +140,10 @@ def bch(x, y, order: int) -> np.ndarray:
     """Truncated Baker-Campbell-Hausdorff product of two matrices.
 
     Requires compatible_norm(x) + compatible_norm(y) < log(3/2) and a
-    truncation order between 1 and 12.  The returned partial sum is certified
-    to stay below log 2 in compatible norm; a violation would mean the
-    series engine is broken and raises InternalCheckError.
+    truncation order between 1 and 12.  Each degree of the plan is one stacked
+    commutator, and the weighted nodes are added in plan order.  The returned
+    partial sum is certified to stay below log 2 in compatible norm; a
+    violation would mean the series engine is broken: InternalCheckError.
     """
     x = as_matrix(x)
     y = as_matrix(y, dim=x.shape[0])
@@ -142,7 +153,9 @@ def bch(x, y, order: int) -> np.ndarray:
         raise DomainError(
             f"norm sum {total} is not below log(3/2) = {BCH_DOMAIN_RADIUS}"
         )
-    out = apply_plan(order, x, y, commutator)
+    levels = apply_plan(order, np.stack((x, y)), _stacked_commutators)
+    terms = [w[:, None, None] * v[pos] for v, pos, w in levels]
+    out = np.add.accumulate(np.concatenate(terms))[-1]
     bound = compatible_norm(out)
     if not bound < BCH_RESULT_BOUND:
         raise InternalCheckError(

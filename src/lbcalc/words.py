@@ -19,10 +19,11 @@ rounded to float once.  Per word, the series coefficient comes from an
 integer count of the word's splittings into blocks x^i y^j, which expands
 log(1 + (exp(X) exp(Y) - 1)).
 
-Each node is [parent, letter] against a bare letter, so evaluating the plan
-needs nothing from the element type beyond addition, scaling by a float and
-one bracket callable; matrices and coefficient series share it.  The plan of
-a lower order is a prefix of the plan of any higher one.
+Each node is [parent, letter] against a bare letter, so the nodes of one
+degree are brackets of the nodes of the degree below with x or y, and
+`apply_plan` walks the plan one degree at a time: matrices bracket a whole
+degree as one stacked commutator, coefficient series one node at a time.
+The plan of a lower order is a prefix of the plan of any higher one.
 """
 
 from __future__ import annotations
@@ -123,19 +124,6 @@ def _children(expansions: np.ndarray) -> np.ndarray:
     return out.reshape(2 * n, 2 * size)
 
 
-def _top_expansions(plan: tuple):
-    """Index of the first top-degree node of `plan`, and those nodes' expansions."""
-    start, expansions = 0, np.eye(2, dtype=np.int16)
-    depth_end = 2
-    while depth_end < len(plan):
-        end = depth_end
-        while end < len(plan) and plan[end][0] < depth_end:
-            end += 1
-        rows = [2 * (parent - start) + letter for parent, letter, _ in plan[depth_end:end]]
-        start, expansions, depth_end = depth_end, _children(expansions)[rows], end
-    return start, expansions
-
-
 @lru_cache(maxsize=None)
 def _prime(i: int) -> int:
     """The i-th largest prime below 2^31, counting from 0."""
@@ -230,11 +218,18 @@ def _exact(rows: np.ndarray, weights: list, target: list) -> bool:
 
 @lru_cache(maxsize=None)
 def _exact_plan(order: int) -> tuple:
-    """The plan of `order` with exact weights: the plan of order - 1 plus one degree."""
+    """The plan of `order` with exact weights: the plan of order - 1 plus one degree.
+
+    The expansions of the top-degree nodes of the plan of order - 1 are built
+    from x and y along its degree tables, one degree at a time.
+    """
     if order == 1:
         return ((None, 0, Fraction(1)), (None, 1, Fraction(1)))
     plan = _exact_plan(order - 1)
-    start, expansions = _top_expansions(plan)
+    expansions = np.eye(2, dtype=np.int16)
+    for parents, letters, _, _ in degree_tables(order - 1)[1:]:
+        expansions = _children(expansions)[2 * parents + letters]
+    start = len(plan) - len(expansions)
     lyndon = lyndon_words(order)
     columns = [int("".join(map(str, w)), 2) for w in lyndon]
     cand = _children(expansions)[:, columns].astype(np.int64)
@@ -258,24 +253,41 @@ def evaluation_plan(order: int) -> tuple:
     return tuple((parent, letter, float(w)) for parent, letter, w in plan)
 
 
-def apply_plan(order: int, x, y, bracket):
-    """Evaluate the truncated series for concrete x, y and a bracket callable.
+@lru_cache(maxsize=None)
+def degree_tables(order: int) -> tuple:
+    """The plan of `order` regrouped by degree, as index arrays.
 
-    The element type must support elementwise addition and multiplication by
-    a float.  No other structure is assumed, so numpy matrices and
-    coefficient series run through the same code path.
+    Entry k - 1 holds, for the nodes of degree k in plan order, the
+    positions of their parents among the nodes of degree k - 1 (None at
+    degree 1, whose nodes are x and y), their letters, and the positions and
+    weights of the nodes whose weight is nonzero.
     """
-    plan = evaluation_plan(order)
-    leaves = (x, y)
-    values = []
-    acc = None
-    for parent, letter, weight in plan:
-        if parent is None:
-            v = leaves[letter]
-        else:
-            v = bracket(values[parent], leaves[letter])
-        values.append(v)
-        if weight:
-            term = weight * v
-            acc = term if acc is None else acc + term
-    return acc
+    plan = _exact_plan(checked_order(order))
+    starts = [0] + [len(_exact_plan(k)) for k in range(1, order + 1)]
+    tables = []
+    for prev, lo, hi in zip([None] + starts, starts, starts[1:]):
+        parents, letters, weights = zip(*plan[lo:hi])
+        weighted = [i for i, w in enumerate(weights) if w]
+        tables.append((
+            None if prev is None else np.array(parents) - prev,
+            np.array(letters),
+            np.array(weighted, dtype=np.intp),
+            np.array([float(weights[i]) for i in weighted]),
+        ))
+    return tuple(tables)
+
+
+def apply_plan(order: int, leaves, step) -> list:
+    """Walk the plan one degree at a time; one (values, positions, weights) per degree.
+
+    `leaves` holds the values of x and y, the nodes of degree 1, and
+    `step(values, leaves, parents, letters)` returns the next degree's values,
+    value i being bracket(values[parents[i]], leaves[letters[i]]).  The series
+    is the sum, degree by degree in order, of weights[j] * values[positions[j]].
+    """
+    levels, values = [], leaves
+    for parents, letters, positions, weights in degree_tables(order):
+        if parents is not None:
+            values = step(values, leaves, parents, letters)
+        levels.append((values, positions, weights))
+    return levels

@@ -1,13 +1,13 @@
 """Loop references for the table-driven series code, the one-pass inversion
-and the Dirichlet BCH walk.
+and the BCH plan walks.
 
 These are the algorithms that `lbcalc.series` and `lbcalc.germs.invert` used
 before their index tables existed: the double-loop table build, the memoised
 `monomial` substitution, the per-slot evaluation and the degree-by-degree
-inversion, which runs one full substitution per degree.  The last is the plan
-walk that `dirichlet.bch_series` kept before it ran through
-`words.apply_plan`.  The tests require the new code to agree with them bit
-for bit.
+inversion, which runs one full substitution per degree.  The last two walk
+the BCH plan node by node, as `dirichlet.bch_series` and `matrices.bch` did
+before `words.apply_plan` walked it one degree at a time.  The tests require
+the new code to agree with them bit for bit.
 """
 
 from itertools import product
@@ -15,6 +15,7 @@ from itertools import product
 import numpy as np
 
 from lbcalc.dirichlet import DirichletSeries, _bracket_terms, zero_series
+from lbcalc.matrices import commutator
 from lbcalc.series import space
 from lbcalc.words import evaluation_plan
 
@@ -123,3 +124,17 @@ def reference_bch_series(g1, g2, order):
     if not acc_f:
         return zero_series(d)
     return DirichletSeries(np.concatenate(acc_f), np.concatenate(acc_m), dim=d)
+
+
+def reference_bch_matrix(x, y, order):
+    """The plan walked node by node: one commutator per node, the weighted
+    nodes added in plan order."""
+    leaves = (x, y)
+    values, acc = [], None
+    for parent, letter, weight in evaluation_plan(order):
+        v = leaves[letter] if parent is None else commutator(values[parent], leaves[letter])
+        values.append(v)
+        if weight:
+            term = weight * v
+            acc = term if acc is None else acc + term
+    return acc

@@ -229,3 +229,23 @@ def test_integers_stop_below_2_63(json_file):
     code, report = run(argv + [json_file(_replaced(obj, ("index",), 10**400))])
     assert code == 3
     assert "below 2^63" in report["error"]
+
+
+@pytest.mark.parametrize("verb", ["dirichlet-eval", "dirichlet-norm"])
+@pytest.mark.parametrize("dim", [1001, 10**6, 2**40])
+def test_an_empty_series_of_huge_dimension_exits_3(json_file, verb, dim):
+    # the result used to be allocated at dim x dim: a memory error or numpy's size error
+    option = ["--z", "1"] if verb == "dirichlet-eval" else ["--s", "0"]
+    code, out, err = run_process([verb, *option, json_file({"dim": dim, "terms": []}, "empty.json")])
+    assert code == 3
+    assert "Traceback" not in err
+    assert "too large" in json.loads(out)["error"]
+
+
+def test_an_overflowing_exponential_is_named_in_a_fresh_interpreter(json_file):
+    # the 1-norm 800 is below the 2^1021 gate, but e^800 is not a double
+    obj = series_to_json(DirichletSeries.from_terms({1: [[800.0]]}))
+    code, out, err = run_process(["dirichlet-eval", "--z", "0", json_file(obj, "big.json")])
+    assert code == 3
+    assert err == ""
+    assert "overflows" in json.loads(out)["error"]

@@ -22,6 +22,8 @@ from lbcalc.matrices import (
 )
 from lbcalc.sampling import generator
 
+from loop_references import reference_bch_matrix, same_bits
+
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 E21 = E12.T.copy()
 I2 = np.eye(2, dtype=complex)
@@ -84,6 +86,15 @@ def test_exp_refuses_norms_past_the_scaling_range():
         mat_exp(1e308 * E12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exp_names_an_overflow_below_the_scaling_range():
+    assert np.isfinite(mat_exp(np.array([[700.0]]))).all()
+    with pytest.raises(DomainError, match="overflows"):
+        mat_exp(np.array([[800.0]]))
+    with pytest.raises(DomainError, match="overflows"):
+        mat_exp(2.0**1000 * I2)
+
+
 def test_log_of_the_identity_is_zero():
     assert np.array_equal(mat_log(I2), np.zeros((2, 2)))
 
@@ -139,6 +150,20 @@ def test_combination_of_equal_arguments():
     x = 0.08 * (E12 + E21)
     for order in (2, 7):
         assert np.array_equal(bch(x, x, order), 2.0 * x)
+
+
+def test_combination_matches_the_node_by_node_walk():
+    rng = generator(41)
+    for dim in (1, 2, 3, 4):
+        for order in range(1, 13):
+            x, y = (
+                0.2 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+                for _ in range(2)
+            )
+            x *= 0.15 / compatible_norm(x)
+            y *= 0.1 / compatible_norm(y)
+            for a, b in ((x, y), (np.zeros_like(x), y), (x, np.zeros_like(y)), (x, x)):
+                assert same_bits(bch(a, b, order), reference_bch_matrix(a, b, order))
 
 
 def test_combination_order_two_against_the_group_oracle():

@@ -207,10 +207,23 @@ def test_exact_weights_reproduce_every_series_coefficient():
             del expansion[n]
 
 
+def walk(order, x, y):
+    """apply_plan with one commutator per node, the weighted nodes added in plan order."""
+
+    def step(values, leaves, parents, letters):
+        return [commutator(values[p], leaves[a]) for p, a in zip(parents, letters)]
+
+    acc = None
+    for values, positions, weights in engine.apply_plan(order, (x, y), step):
+        for i, w in zip(positions, weights.tolist()):
+            acc = w * values[i] if acc is None else acc + w * values[i]
+    return acc
+
+
 def test_plan_order_two_is_the_exact_textbook_sum():
     x = np.array([[0.0, 0.125], [0.0, 0.0]], dtype=complex)
     y = np.array([[0.0, 0.0], [0.125, 0.0]], dtype=complex)
-    got = engine.apply_plan(2, x, y, commutator)
+    got = walk(2, x, y)
     want = x + y + 0.5 * commutator(x, y)
     assert np.array_equal(got, want)
 
@@ -228,7 +241,7 @@ def test_plan_matches_the_degree_four_formula():
     for _ in range(50):
         x = 0.05 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         y = 0.05 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        got = engine.apply_plan(4, x, y, commutator)
+        got = walk(4, x, y)
         worst = max(worst, float(np.max(np.abs(got - _dynkin4(x, y)))))
     assert worst < 1e-15
 
@@ -241,6 +254,26 @@ def test_plan_respects_shared_prefixes():
             assert parent is None or 0 <= parent < k
             assert letter in (0, 1)
             assert isinstance(weight, float)
+
+
+def test_degree_tables_regroup_the_plan_exactly():
+    for order in range(1, engine.MAX_ORDER + 1):
+        tables = engine.degree_tables(order)
+        assert len(tables) == order
+        rebuilt, below = [], None  # below: the plan indices of the degree below
+        for parents, letters, positions, weights in tables:
+            assert (parents is None) == (below is None)
+            if below is not None:
+                assert 0 <= parents.min() and parents.max() < len(below)
+            assert np.all(np.diff(positions) > 0) and np.all(weights != 0.0)
+            node_weights = np.zeros(letters.size)
+            node_weights[positions] = weights
+            start = len(rebuilt)
+            for j in range(letters.size):
+                parent = None if below is None else below[parents[j]]
+                rebuilt.append((parent, int(letters[j]), float(node_weights[j])))
+            below = range(start, len(rebuilt))
+        assert rebuilt == list(engine.evaluation_plan(order))
 
 
 def test_checked_order_accepts_the_documented_range():
