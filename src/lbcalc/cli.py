@@ -429,14 +429,30 @@ _HANDLERS = {
 
 
 def execute(cmd: Command, out=None) -> int:
-    """Run a parsed Command, print one JSON report, and return the exit code."""
+    """Run a parsed Command, print one JSON report, and return the exit code.
+
+    The handlers run with numpy's overflow and invalid-value warnings off:
+    an overflow leaves an infinity or a NaN, which the finite checks of the
+    verbs turn into exit 3.  A report that cannot be written because the
+    reader closed the output also exits 3, with one line on stderr.
+    """
     out = out if out is not None else sys.stdout
     try:
-        report, code = _HANDLERS[cmd.verb](cmd)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report, code = _HANDLERS[cmd.verb](cmd)
     except (DomainError, ValidationError, ConfigurationError) as exc:
-        print(_emit({"error": str(exc), "verb": cmd.verb}), file=out)
+        report, code = {"error": str(exc), "verb": cmd.verb}, 3
+    try:
+        print(_emit(report), file=out)
+        out.flush()
+    except BrokenPipeError:
+        if out is sys.stdout:
+            # the recipe of Python's signal docs: stdout goes to devnull, so
+            # the flush at interpreter exit does not fail a second time
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+        print("lbcalc: the output was closed before the report was written", file=sys.stderr)
         return 3
-    print(_emit(report), file=out)
     return code
 
 

@@ -13,7 +13,10 @@ family.  Two routes produce the beta_k:
 * probing route: directional Taylor coefficients recovered by trapezoidal
   contour quadrature over a probe direction set, multiplied by the
   polarization factor (2k)^k / k! that converts directional bounds into
-  multilinear ones.
+  multilinear ones.  The Q nodes of one coefficient are formed as one
+  block and the sample is called once per node; the weighted values are
+  added node by node with one np.add.accumulate.  Samples read off a series
+  evaluate its compact columns, gathered once per sample.
 
 The probe maximum over finitely many directions can only undershoot the true
 directional sup, and the stored majorants dominate the homogeneous sups they
@@ -100,8 +103,8 @@ def _block_sample(sp, cols: np.ndarray, center, radius: float, label: str) -> An
     except OverflowError:
         sup = math.inf
 
-    def evaluator(point, _sp=sp, _cols=cols, _c=center):
-        return _sp.evaluate(_cols, np.asarray(point) - _c)
+    def evaluator(point, _sp=sp, _compact=cols[:, sp.packed], _c=center):
+        return _sp.evaluate_compact(_compact, np.asarray(point) - _c)
 
     return AnalyticSample(
         evaluator, center, radius, sup, majorants=tuple(majorants), label=label
@@ -158,9 +161,13 @@ def cauchy_directional_coefficient(
     angles = 2.0 * math.pi * np.arange(quadrature) / quadrature
     nodes = s * np.exp(1j * angles)
     weights = np.exp(-1j * k * angles)
-    acc = np.zeros(sample.dim, dtype=np.complex128)
-    for z, w in zip(nodes, weights):
-        acc += sample(sample.center + z * v) * w
+    points = sample.center + nodes[:, None] * v
+    terms = np.zeros((quadrature + 1, sample.dim), dtype=np.complex128)
+    for q, point in enumerate(points, start=1):
+        terms[q] = sample(point)
+    terms[1:] *= weights[:, None]
+    # 0.0 + f(z_1) w_1 + f(z_2) w_2 + ..., added node by node
+    acc = np.add.accumulate(terms, axis=0)[-1]
     return acc / (quadrature * s**k)
 
 

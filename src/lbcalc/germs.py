@@ -390,9 +390,8 @@ def compose_derivative(g1: Germ, g2: Germ, dg1: Germ, dg2: Germ) -> Germ:
         # row layout: entry (j * d + i) is the partial of component i along x_j
         jac_sub = sp.substitute(jac, u)
         term2 = np.zeros_like(term1)
-        for i in range(d):
-            for j in range(d):
-                term2[i] += sp.mul(jac_sub[j * d + i], dc2[j])
+        for j in range(d):  # term2[i] adds its products in j order, as a loop over i, j
+            term2 += sp.mul_rows(jac_sub[j * d:(j + 1) * d], dc2[j])
         blocks.append(term1 + term2 + dc2)
     return Germ(g1.anchors, g2.index, blocks, g1.degree)
 

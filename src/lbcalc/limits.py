@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import polygamma
 
 from .dirichlet import DirichletSeries, norm_s, ordered_sum, sum_series, term_norms, zero_series
 from .errors import DomainError, InternalCheckError, ValidationError
@@ -341,17 +341,40 @@ class RegularityModulus:
         return out
 
 
-def _zeta2_tail(m: int) -> float:
-    """sum over n > m of 1/n^2, via the trigamma function."""
-    return float(polygamma(1, m + 1))
+def _zeta2_tail_brackets(m: int) -> tuple:
+    """Two rational brackets (low, high) of sum over n > m of 1/n^2, coarse first.
+
+    Telescoping 1/(n(n+1)) < 1/n^2 < 1/(n - 1/2) - 1/(n + 1/2) over n > m
+    gives 1/(m+1) < tail < 1/(m+1/2).  The tail is the trigamma function at
+    x = m + 1, which its asymptotic series encloses:
+    1/x + 1/(2x^2) + 1/(6x^3) - 1/(30x^5) < tail < 1/x + 1/(2x^2) + 1/(6x^3).
+    """
+    x = Fraction(m + 1)
+    fine = 1 / x + 1 / (2 * x**2) + 1 / (6 * x**3)
+    return (1 / x, 1 / (x - Fraction(1, 2))), (fine - 1 / (30 * x**5), fine)
+
+
+def _zeta2_tail_below(m: int, q: float) -> bool:
+    """Whether sum over n > m of 1/n^2 < q, decided by the brackets of the tail.
+
+    A q that neither bracket places on one side of the tail is refused.
+    """
+    q = Fraction(q)
+    for low, high in _zeta2_tail_brackets(m):
+        if high <= q:
+            return True
+        if low >= q:
+            return False
+    raise DomainError(f"cannot decide whether the zeta(2) tail after {m} is below {float(q)}")
 
 
 def dirichlet_regularity_modulus(s: int, epsilon: float, u: int) -> RegularityModulus:
     """Explicit (t, n0, delta) forcing norm_t small from norm_s bounded, norm_u tiny.
 
     t = s + 2; n0 is the minimal integer with sum over n > n0 of 1/n^2
-    strictly below epsilon/4; delta = n0^(t-u) * epsilon/2.  The companion
-    checker is check_dirichlet_regularity.
+    strictly below epsilon/4, decided in rationals (`_zeta2_tail_below`); an
+    epsilon too close to 4 times a tail to decide is refused.  delta =
+    n0^(t-u) * epsilon/2.  The companion checker is check_dirichlet_regularity.
     """
     if not isinstance(s, int) or not isinstance(u, int):
         raise ValidationError("half-plane indices must be integers")
@@ -363,9 +386,9 @@ def dirichlet_regularity_modulus(s: int, epsilon: float, u: int) -> RegularityMo
     quarter = epsilon / 4.0
     # tail(m) > 1/(m+1), so nothing below this start can satisfy the cut
     m = max(0, math.ceil(1.0 / quarter) - 2)
-    while not _zeta2_tail(m) < quarter:
+    while not _zeta2_tail_below(m, quarter):
         m += 1
-    if m > 0 and _zeta2_tail(m - 1) < quarter:
+    if m > 0 and _zeta2_tail_below(m - 1, quarter):
         raise InternalCheckError(f"cutoff scan overshot minimality at n0 = {m}")
     n0 = m
     delta = float(n0) ** (t - u) * epsilon / 2.0 if n0 > 0 else epsilon / 2.0
@@ -405,7 +428,7 @@ def check_dirichlet_regularity(mod: RegularityModulus, gamma: DirichletSeries) -
     # head: each n <= n0 trades n^(-t) for n0^(u-t) n^(-u); tail: each
     # n > n0 trades n^(-t) for 2/n^2 via the coarse per-term bound
     head_route = fine * float(max(mod.cutoff, 1)) ** (mod.control - mod.target)
-    tail_route = 2.0 * _zeta2_tail(mod.cutoff)
+    tail_route = 2.0 * float(_zeta2_tail_brackets(mod.cutoff)[1][1])
     if head > head_route * (1.0 + 1e-12):
         raise InternalCheckError(f"head {head} exceeded its route bound {head_route}")
     if tail > tail_route * (1.0 + 1e-12):

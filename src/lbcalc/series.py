@@ -17,6 +17,12 @@ to pairs whose two factors both have degree >= 1: with zero constant terms,
 degree k of a product reads only lower degrees of its factors, which is
 what lets `germs.invert` form every monomial one degree at a time.
 
+`substitute` and `mul_rows` multiply by a sparse right factor over only
+the pairs of the table where it is nonzero, with the bits of `mul` (see
+`_pairs_onto`); the restricted tables are built per call.
+`evaluate_compact` reads coefficients in compact columns, so a caller that
+evaluates one series at many points gathers those columns once.
+
 Vector-valued series (coefficients in C^m) are stored as (m, size) arrays and
 reuse the scalar tables row by row.
 """
@@ -121,6 +127,7 @@ class SeriesSpace:
         self._mul_lhs = packed[np.repeat(np.arange(live), fits)]
         self._mul_rhs = packed[_runs(np.zeros_like(fits), fits)]
         self._mul_out = self._mul_lhs + self._mul_rhs
+        self._mul_pairs = (self._mul_lhs, self._mul_rhs, self._mul_out)
 
         # the same pairs restricted to factors of degree >= 1 and split by
         # output degree k, in table order: each left factor of total t in
@@ -207,17 +214,43 @@ class SeriesSpace:
 
     # -- arithmetic ------------------------------------------------------
 
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Truncated product of two scalar series.
+    def _product(self, a: np.ndarray, b: np.ndarray, pairs) -> np.ndarray:
+        """Sum of a[lhs] * b[rhs] into the slots `out`, for pairs = (lhs, rhs, out).
 
         Each output slot is 0.0 plus its products, added in table order, for
         the real and the imaginary part alike.
         """
-        prods = a[self._mul_lhs] * b[self._mul_rhs]
-        out = np.empty(self.size, dtype=np.complex128)
-        out.real = np.bincount(self._mul_out, weights=prods.real, minlength=self.size)
-        out.imag = np.bincount(self._mul_out, weights=prods.imag, minlength=self.size)
-        return out
+        lhs, rhs, out = pairs
+        prods = a[lhs] * b[rhs]
+        res = np.empty(self.size, dtype=np.complex128)
+        res.real = np.bincount(out, weights=prods.real, minlength=self.size)
+        res.imag = np.bincount(out, weights=prods.imag, minlength=self.size)
+        return res
+
+    def _pairs_onto(self, b: np.ndarray):
+        """The product table restricted to the pairs where b[rhs] is nonzero.
+
+        With a finite left factor, every pair left out adds a product that is
+        +0.0 or -0.0 in each part, and a sum that starts at +0.0 keeps its
+        bits under such an addition, so `_product` over these pairs equals
+        `mul` bit for bit.  A left factor with an infinity or a NaN breaks
+        this (inf * 0 is NaN), so callers pass finite left factors only.
+        """
+        keep = b[self._mul_rhs] != 0
+        return self._mul_lhs[keep], self._mul_rhs[keep], self._mul_out[keep]
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Truncated product of two scalar series, over the full product table."""
+        return self._product(a, b, self._mul_pairs)
+
+    def mul_rows(self, rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The truncated products mul(row, b) of each row of `rows`, stacked.
+
+        One table restricted to the support of b serves every row when all
+        rows are finite; otherwise the full table does.
+        """
+        pairs = self._pairs_onto(b) if np.isfinite(rows).all() else self._mul_pairs
+        return np.array([self._product(row, b, pairs) for row in rows])
 
     def diff_table(self, j: int):
         """Gather lists (src, dst, factor) for the partial derivative d/dx_j."""
@@ -255,19 +288,28 @@ class SeriesSpace:
         variable.  Each monomial that the support of `cols` needs is built
         once, as the product of its parent monomial and one component (see
         the module docstring), and shared across all m output rows; the
-        terms are added in compact-column order.  Truncation at the space
-        degree is inherent in `mul`, so arguments with zero constant term
-        produce the exact truncated composition.
+        terms are added in compact-column order.  Each product runs over the
+        pairs where its component is nonzero (`_pairs_onto`), one table per
+        component, whenever no monomial can overflow: with N(a) the sum of
+        |Re| + |Im| over the coefficients, N(ab) <= N(a) N(b), so every
+        monomial has N below max(1, N(u_i))^D, and below 2^1000 each stays
+        finite.  Otherwise every product runs over the full table, as `mul`.
+        Truncation at the space degree is inherent in the product table, so
+        arguments with zero constant term produce the exact truncated
+        composition.
         """
         cols = np.atleast_2d(cols)
         m = cols.shape[0]
         out = np.zeros((m, self.size), dtype=np.complex128)
         out[:, 0] = cols[:, 0]
 
+        comps = np.array(components, dtype=np.complex128).reshape(-1, self.size)
+        if np.abs(comps.view(np.float64)).sum(axis=1).max() <= 2.0 ** (1000 / self.degree):
+            tables = [self._pairs_onto(comp) for comp in comps]
+        else:
+            tables = [self._mul_pairs] * len(comps)
         units = self.unit_compact.tolist()
-        memo: dict[int, np.ndarray] = {}
-        for i, comp in enumerate(components):
-            memo[units[i]] = np.asarray(comp, dtype=np.complex128)
+        memo = {units[i]: comp for i, comp in enumerate(comps)}
         chain = self._chain
         for c in self.support(cols).tolist():
             pending = []  # c and those of its ancestors not built yet
@@ -277,12 +319,16 @@ class SeriesSpace:
                 q = chain[q][1]
             for q in reversed(pending):
                 _, parent, var = chain[q]
-                memo[q] = self.mul(memo[parent], memo[units[var]])
+                memo[q] = self._product(memo[parent], comps[var], tables[var])
             out += cols[:, self.packed[c], None] * memo[c][None, :]
         return out
 
     def evaluate(self, cols: np.ndarray, point) -> np.ndarray:
-        """Value of a vector series at a concrete argument vector.
+        """Value of a vector series at a concrete argument vector."""
+        return self.evaluate_compact(np.atleast_2d(cols)[:, self.packed], point)
+
+    def evaluate_compact(self, compact: np.ndarray, point) -> np.ndarray:
+        """Value at a point of a series given in compact columns, (m, live).
 
         The monomial values are built along the parent chains, one scalar
         product per live slot, in compact-column order.
@@ -296,5 +342,4 @@ class SeriesSpace:
         vals = [1.0 + 0.0j] * self.live
         for c, q, i in self._chain[1:]:
             vals[c] = vals[q] * x[i]
-        cols = np.atleast_2d(cols)
-        return cols[:, self.packed] @ np.array(vals)
+        return compact @ np.array(vals)

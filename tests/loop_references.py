@@ -1,14 +1,19 @@
-"""Loop references for the table-driven series code, the one-pass inversion
-and the BCH plan walks.
+"""Loop references for the table-driven series code, the one-pass inversion,
+the contour quadrature and the BCH plan walks.
 
 These are the algorithms that `lbcalc.series` and `lbcalc.germs.invert` used
 before their index tables existed: the double-loop table build, the memoised
 `monomial` substitution, the per-slot evaluation and the degree-by-degree
-inversion, which runs one full substitution per degree.  The last two walk
-the BCH plan node by node, as `dirichlet.bch_series` and `matrices.bch` did
-before `words.apply_plan` walked it one degree at a time.  The tests require
-the new code to agree with them bit for bit.
+inversion, which runs one full substitution per degree.  Every product in
+them runs over the full product table, as do those of the derivative of
+composition, whose Jacobian term takes one `mul` per pair of components.
+The contour coefficient is added up node by node.  The last two walk the BCH
+plan node by node, as `dirichlet.bch_series` and `matrices.bch` did before
+`words.apply_plan` walked it one degree at a time.  The tests require the
+new code to agree with them bit for bit.
 """
+
+import math
 
 from itertools import product
 
@@ -101,6 +106,36 @@ def reference_inverse_blocks(g):
             h[:, idx] -= np.linalg.solve(m, t[:, idx])
         blocks.append(h)
     return blocks
+
+
+def reference_compose_derivative_blocks(g1, g2, dg1, dg2):
+    """The blocks of compose_derivative, with the Jacobian term as d*d full products."""
+    sp = space(g1.dim, g1.degree)
+    d = g1.dim
+    blocks = []
+    for cols1, cols2, dc1, dc2 in zip(g1.coeffs, g2.coeffs, dg1.coeffs, dg2.coeffs):
+        u = chart_components(sp, cols2)
+        term1 = reference_substitute(sp, dc1, u)
+        jac = np.concatenate([sp.differentiate(cols1, j) for j in range(d)], axis=0)
+        jac_sub = reference_substitute(sp, jac, u)
+        term2 = np.zeros_like(term1)
+        for i in range(d):
+            for j in range(d):
+                term2[i] += sp.mul(jac_sub[j * d + i], dc2[j])
+        blocks.append(term1 + term2 + dc2)
+    return blocks
+
+
+def reference_cauchy_coefficient(sample, v, s, k, quadrature):
+    """The trapezoid sum of cauchy_directional_coefficient, one node at a time."""
+    v = np.asarray(v, dtype=np.complex128).reshape(-1)
+    angles = 2.0 * math.pi * np.arange(quadrature) / quadrature
+    nodes = s * np.exp(1j * angles)
+    weights = np.exp(-1j * k * angles)
+    acc = np.zeros(sample.dim, dtype=np.complex128)
+    for z, w in zip(nodes, weights):
+        acc += sample(sample.center + z * v) * w
+    return acc / (quadrature * s**k)
 
 
 def same_bits(a, b) -> bool:

@@ -439,3 +439,24 @@ def test_main_runs_a_full_verb_without_files(capsys):
     assert cli.main(["modulus-dirichlet", "--s", "1", "--epsilon", "0.1", "--u", "10"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["cutoff"] == 40
+
+
+def test_a_closed_output_exits_3_without_a_traceback(json_file):
+    # the report of a 300 x 300 evaluation is far longer than a pipe's
+    # buffer, and the reader closes the pipe after 100 bytes
+    path = json_file({"dim": 300, "terms": []}, "empty.json")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lbcalc.cli", "dirichlet-eval", "--z", "0", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    code = proc.wait(timeout=120)
+    assert head.startswith(b"{")
+    assert "Traceback" not in err
+    assert code == 3
+    assert "closed" in err
+

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from loop_references import reference_cauchy_coefficient, same_bits
 
 from lbcalc.errors import DomainError, ValidationError
 from lbcalc.estimates import (
@@ -77,6 +78,32 @@ def test_weights_taken_once_per_call_match_the_per_node_loop(quadrature):
     for k in range(9):
         got = cauchy_directional_coefficient(smp, v, 0.9, k, quadrature)
         assert got.tobytes() == _per_node_coefficient(smp, v, 0.9, k, quadrature).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("quadrature", [4, 32, 256])
+def test_node_block_matches_the_node_by_node_sum(dim, quadrature):
+    # the nodes formed as one block, the weights applied as one block and the
+    # terms added by np.add.accumulate after a zero row: the loop's bits
+    rng = generator(20 + dim)
+    center = 0.5 + 0.25j * np.arange(dim)
+    g = random_germ(rng, AnchorSet([center]), 2, degree=8, terms=12)
+    terms = {alpha: rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+             for alpha in space(dim, 8).alphas if rng.random() < 0.3}
+    samples = [
+        sample_from_germ(g),
+        sample_from_polynomial(terms, center, 1.0, degree=8),
+        AnalyticSample(lambda p: np.sin(p) + p[::-1] ** 2, center, 1.0, 10.0),
+        # -0.0 terms, which only the leading zero row turns into +0.0
+        AnalyticSample(lambda p: np.full(p.size, complex(-0.0, -0.0)), center, 1.0, 0.0),
+    ]
+    directions = [np.eye(dim, dtype=np.complex128)[-1], np.exp(2j * math.pi * rng.random(dim))]
+    for smp in samples:
+        s = 0.9 * smp.radius
+        for v in directions:
+            for k in range(9):
+                got = cauchy_directional_coefficient(smp, v, s, k, quadrature)
+                assert same_bits(got, reference_cauchy_coefficient(smp, v, s, k, quadrature))
 
 
 # -- polarization -------------------------------------------------------------

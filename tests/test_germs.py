@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from loop_references import (
     chart_components,
+    reference_compose_derivative_blocks,
     reference_inverse_blocks,
     reference_substitute,
     same_bits,
@@ -306,6 +307,33 @@ def test_composition_substitutions_match_the_memoised_monomials(dim, terms):
             for c1, c2 in zip(outer.coeffs, inner.coeffs)
         ]
         assert all(same_bits(got, ref) for got, ref in zip(comp.coeffs, want))
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("terms", [3, 1000], ids=["sparse", "dense"])
+def test_composition_derivative_matches_the_full_products(dim, terms):
+    # the Jacobian term multiplies by each component of dg2 over the pairs
+    # where that component is nonzero; sparse directions skip most pairs
+    sp = space(dim, 8)
+    rng = np.random.default_rng(50 + dim)
+    for seed in range(3):
+        g1 = _family(11 * dim + seed, dim, 2, 1000, 2, 0.3)
+        g2 = _family(110 * dim + seed, dim, 2, 1000, 12, 0.4)
+        dg1 = _family(1100 * dim + seed, dim, 2, terms, 2, 0.1)
+        dg2 = _family(11000 * dim + seed, dim, 2, terms, 12, 0.05)
+        if seed == 2:
+            # a zero component, and -0.0 parts on the zero slots of the others
+            blocks = np.array(dg2.coeffs)
+            blocks[:, 0] = 0.0
+            live = np.zeros(sp.size, dtype=bool)
+            live[sp.packed[1:]] = True
+            spots = (blocks == 0) & live
+            signs = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+            blocks[spots] = rng.choice(signs, size=int(spots.sum()))
+            dg2 = Germ(dg2.anchors, dg2.index, blocks, dg2.degree)
+        got = compose_derivative(g1, g2, dg1, dg2)
+        want = reference_compose_derivative_blocks(g1, g2, dg1, dg2)
+        assert all(same_bits(block, ref) for block, ref in zip(got.coeffs, want))
+
 
 def test_inversion_requires_a_small_derivative():
     g = scalar_germ(9, {1: 0.6})

@@ -249,3 +249,24 @@ def test_an_overflowing_exponential_is_named_in_a_fresh_interpreter(json_file):
     assert code == 3
     assert err == ""
     assert "overflows" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize(
+    "case, path",
+    [
+        ("dirichlet-norm", ("terms", 1, "coeff", "entries", 1, 0)),
+        ("dirichlet-eval", ("terms", 1, "coeff", "entries", 2, 1)),
+        ("modulus-dirichlet", ("terms", 0, "coeff", "entries", 0, 0)),
+        ("germ-compose", ("series", 0, "terms", 0, "coeff", 0, 0)),
+    ],
+)
+def test_overflowing_coefficients_print_no_numpy_warning(json_file, case, path):
+    # a coefficient of 1e308 overflows in a norm or a product; numpy used to
+    # print a RuntimeWarning on stderr, the exit code came from the checks
+    argv, inputs = CASES[case]
+    files = [json_file(_replaced(inputs[0], path, 1e308), "big.json")]
+    files += [json_file(obj) for obj in inputs[1:]]
+    code, out, err = run_process(argv + files)
+    assert code in (0, 1, 3)
+    assert err == ""
+

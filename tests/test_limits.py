@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from lbcalc.limits import (
     DirichletSteps,
     GermSteps,
     MatrixSteps,
+    _zeta2_tail_brackets,
     build_certificate,
     certificate_from_json,
     check_dirichlet_regularity,
@@ -275,6 +277,35 @@ def test_dirichlet_modulus_frozen_cutoff_and_radius():
     # minimality, checked against a partial-sum oracle for the zeta tail
     assert fsum_zeta2_tail(40) < 0.025
     assert not fsum_zeta2_tail(39) < 0.025
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_zeta2_tail_brackets_enclose_an_exact_partial_sum(m):
+    # the exact sum to N plus 1/(N+1) < tail after N < 1/(N+1/2) encloses
+    # the tail after m more tightly than the fine bracket's margins
+    big_n = m + 3000
+    partial = sum(Fraction(1, n * n) for n in range(m + 1, big_n + 1))
+    low, high = partial + Fraction(1, big_n + 1), partial + Fraction(2, 2 * big_n + 1)
+    for bracket_low, bracket_high in _zeta2_tail_brackets(m):
+        assert bracket_low < low and high < bracket_high
+
+
+@pytest.mark.parametrize("quarter, cutoff", [(0.0246905, 40), (0.02469, 41)])
+def test_cutoff_inside_the_coarse_bracket_is_decided_by_the_fine_one(quarter, cutoff):
+    # 1/41 < quarter < 1/40.5, so 1/(m+1) < tail(40) < 1/(m+1/2) cannot
+    # place tail(40) = 0.02469010... on either side of quarter
+    (coarse_low, coarse_high), _ = _zeta2_tail_brackets(40)
+    assert coarse_low < Fraction(quarter) < coarse_high
+    mod = dirichlet_regularity_modulus(1, 4.0 * quarter, 10)
+    assert mod.cutoff == cutoff
+    assert fsum_zeta2_tail(cutoff) < quarter < fsum_zeta2_tail(cutoff - 1)
+
+
+def test_a_cutoff_neither_bracket_decides_is_refused():
+    _, (fine_low, fine_high) = _zeta2_tail_brackets(40)
+    quarter = float((fine_low + fine_high) / 2)
+    with pytest.raises(DomainError, match="cannot decide"):
+        dirichlet_regularity_modulus(1, 4.0 * quarter, 10)
 
 
 def test_dirichlet_modulus_at_the_smallest_legal_control_index():

@@ -275,6 +275,71 @@ def test_substitution_matches_the_memoised_monomials(dim, dense):
         assert same_bits(got, reference_substitute(sp, cols, comps))
     # a zero series touches no monomial
     assert same_bits(sp.substitute(sp.zeros(dim), comps), reference_substitute(sp, sp.zeros(dim), comps))
+    # components with exact zeros, -0.0 parts, a bare unit and a zero series:
+    # each product runs over the pairs where its component is nonzero
+    cols = _random_cols(rng, sp, dim, dense)
+    for comps in _sparse_components(rng, sp):
+        assert same_bits(sp.substitute(cols, comps), reference_substitute(sp, cols, comps))
+
+
+def _sparse_components(rng, sp):
+    """Lists of dim scalar series that are zero, or -0.0, on most slots."""
+    dim = sp.dim
+    signed = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    few = [_random_cols(rng, sp, 1, False)[0] for _ in range(dim)]
+    for comp in few:
+        comp[0] = 0.0
+    yield few
+    negzero = [comp.copy() for comp in few]
+    for comp in negzero:
+        zeros = np.flatnonzero(comp == 0)
+        comp[zeros] = rng.choice(signed, size=zeros.size)
+    yield negzero
+    units = [sp.zeros() for _ in range(dim)]
+    for i, comp in enumerate(units):
+        comp[sp.unit_packed[i]] = 1.0
+    yield units
+    yield [units[0]] + [sp.zeros() for _ in range(dim - 1)]
+    # unit plus a real or an imaginary coefficient, as in the chart of a germ
+    chart = [unit.copy() for unit in units]
+    for comp in chart:
+        comp[rng.choice(sp.packed[1:])] += rng.choice([0.25, 0.25j, -0.5])
+    yield chart
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_substitution_falls_back_to_full_products_where_monomials_overflow(dim):
+    # inf * 0 is NaN, so a pair whose component slot is zero can change an
+    # overflowing product: these components take the full table, as `mul`
+    rng = np.random.default_rng(41 + dim)
+    sp = space(dim, 8)
+    cols = _random_cols(rng, sp, dim, True)
+    comps = [0.3 * _random_cols(rng, sp, 1, False)[0] for _ in range(dim)]
+    for i, comp in enumerate(comps):
+        comp[0] = 0.0
+        comp[sp.unit_packed[i]] = 1e60  # monomials of degree 6 and up overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = sp.substitute(cols, comps)
+        want = reference_substitute(sp, cols, comps)
+    assert not np.isfinite(want).all()
+    assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("dim, degree", [(1, 8), (2, 6), (3, 8)])
+def test_row_products_match_the_full_table(dim, degree):
+    rng = np.random.default_rng(17 + dim)
+    sp = space(dim, degree)
+    for comps in _sparse_components(rng, sp):
+        rows = np.concatenate([_random_cols(rng, sp, 2, True), _random_cols(rng, sp, 2, False)])
+        for b in comps:
+            want = np.array([sp.mul(row, b) for row in rows])
+            assert same_bits(sp.mul_rows(rows, b), want)
+            # a row with an infinity takes the full table: inf * 0 is NaN
+            rows[1, sp.packed[-1]] = np.inf
+            with np.errstate(invalid="ignore"):
+                want = np.array([sp.mul(row, b) for row in rows])
+                assert same_bits(sp.mul_rows(rows, b), want)
+            rows[1, sp.packed[-1]] = 1.0
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
