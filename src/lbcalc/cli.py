@@ -191,18 +191,12 @@ def _load_json(path: str):
         raise ValidationError(f"{path} is not valid JSON: {exc}")
 
 
-def _json_default(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.bool_):
-        return bool(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def _emit(report: dict) -> str:
-    return json.dumps(
-        report, sort_keys=True, separators=(", ", ": "), default=_json_default
-    )
+    """The one writer of reports: strict JSON, whose numbers are all finite."""
+    try:
+        return json.dumps(report, sort_keys=True, separators=(", ", ": "), allow_nan=False)
+    except ValueError:
+        raise DomainError("a number of the report overflows the double range")
 
 
 # -- verb handlers -----------------------------------------------------------
@@ -340,6 +334,8 @@ def _run_estimate_verify(cmd: Command):
     )
     out = report.to_json()
     out["guarantee"] = "degree sums at r stay within the overhead factor times the sup"
+    if report.route != "majorants":
+        out["guarantee"] += "; probed beta_k come from finitely many directions and can only undershoot"
     return out, 0 if report.verdict else 1
 
 
@@ -432,18 +428,19 @@ def execute(cmd: Command, out=None) -> int:
     """Run a parsed Command, print one JSON report, and return the exit code.
 
     The handlers run with numpy's overflow and invalid-value warnings off:
-    an overflow leaves an infinity or a NaN, which the finite checks of the
-    verbs turn into exit 3.  A report that cannot be written because the
-    reader closed the output also exits 3, with one line on stderr.
+    an overflow leaves an infinity or a NaN, which the verbs' finite checks,
+    or else `_emit`, turn into exit 3.  A report that cannot be written
+    because the reader closed the output also exits 3, one line on stderr.
     """
     out = out if out is not None else sys.stdout
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             report, code = _HANDLERS[cmd.verb](cmd)
+        text = _emit(report)
     except (DomainError, ValidationError, ConfigurationError) as exc:
-        report, code = {"error": str(exc), "verb": cmd.verb}, 3
+        text, code = _emit({"error": str(exc), "verb": cmd.verb}), 3
     try:
-        print(_emit(report), file=out)
+        print(text, file=out)
         out.flush()
     except BrokenPipeError:
         if out is sys.stdout:

@@ -6,7 +6,8 @@ column sum).  The factor two makes the norm compatible with the commutator,
 
 The truncated Baker-Campbell-Hausdorff product accepts arguments whose norms
 sum to less than log(3/2) and certifies that the result stays inside the ball
-of radius log 2.  Both constants are checked, not assumed.
+of radius log 2.  Both constants are checked, not assumed.  The square roots
+of mat_log come from the Denman-Beavers iteration, so numpy is all it needs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .words import apply_plan, checked_order
 from .errors import DomainError, InternalCheckError, ValidationError
@@ -28,6 +28,7 @@ _EXP_REDUCTION = 0.25    # scaled 1-norm before the Taylor sum
 _EXP_TERMS = 22          # 0.25**23 / 23! is far below double roundoff
 _LOG_REDUCTION = 0.25    # 1-norm of a - I before the Mercator sum
 _LOG_TERMS = 32
+_SQRT_STEPS = 50         # Denman-Beavers steps per root; about 10 suffice
 
 
 def as_matrix(value, dim: int | None = None) -> np.ndarray:
@@ -106,12 +107,30 @@ def mat_exp(x) -> np.ndarray:
     return result
 
 
+def _sqrt(a, eye) -> np.ndarray:
+    """Principal square root by the product-form Denman-Beavers iteration
+    (Higham, Functions of Matrices, eq. (6.17)): x tends to the root, m to I.
+    As m' - I = (m - I)^2 m^-1 / 4, a step from ||m - I||_1 <= 1/2 shrinks that
+    norm fourfold in exact arithmetic (farther out it may grow), so the
+    iteration stops when the norm reaches 0 or such a step fails to shrink it."""
+    x, m, err = a, a, one_norm(a - eye)
+    for _ in range(_SQRT_STEPS):
+        inv = np.linalg.inv(m)
+        x = 0.5 * (x @ (eye + inv))
+        m = 0.5 * (eye + 0.5 * (m + inv))
+        err, last = one_norm(m - eye), err
+        if err == 0.0 or (last <= 0.5 and not err < last):
+            return x
+    raise InternalCheckError("Denman-Beavers square root failed to converge")
+
+
 def mat_log(g) -> np.ndarray:
     """Principal matrix logarithm for g with ||g - I||_1 < 1.
 
-    Inverse scaling: principal square roots are taken until the distance to
-    the identity drops under 0.25, then the alternating Mercator series is
-    summed and the count of roots is paid back by doubling.
+    Inverse scaling (Higham, Functions of Matrices, section 11.5): principal
+    square roots, from the Denman-Beavers iteration, are taken until the
+    distance to the identity drops under 0.25, then the alternating Mercator
+    series is summed and the count of roots is paid back by doubling.
     """
     g = as_matrix(g)
     eye = np.eye(g.shape[0], dtype=np.complex128)
@@ -123,13 +142,11 @@ def mat_log(g) -> np.ndarray:
     a = g
     halvings = 0
     while one_norm(a - eye) > _LOG_REDUCTION:
-        a = np.asarray(scipy.linalg.sqrtm(a), dtype=np.complex128)
+        a = _sqrt(a, eye)
         halvings += 1
         if halvings > 64:
             raise InternalCheckError("square-root reduction failed to converge")
-    delta = a - eye
-    term = delta.copy()
-    result = delta.copy()
+    delta = term = result = a - eye
     for m in range(2, _LOG_TERMS + 1):
         term = term @ delta
         result = result + ((1.0 if m % 2 else -1.0) / m) * term

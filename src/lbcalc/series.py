@@ -48,7 +48,8 @@ def _runs(firsts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum()) + np.repeat(firsts - (np.cumsum(lengths) - lengths), lengths)
 
 
-@lru_cache(maxsize=None)
+# 16 keeps all 15 spaces of the battery (d = 1..3, D = 4..8), the benchmark's 3 among them
+@lru_cache(maxsize=16)
 def space(dim: int, degree: int) -> "SeriesSpace":
     return SeriesSpace(dim, degree)
 

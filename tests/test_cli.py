@@ -239,6 +239,11 @@ def test_estimate_verify_routes(json_file):
     assert code == 0
     assert probed["route"] == "probed"
     assert probed["verdict"] is True
+    majorants = "degree sums at r stay within the overhead factor times the sup"
+    assert report["guarantee"] == majorants
+    assert probed["guarantee"] == (
+        majorants + "; probed beta_k come from finitely many directions and can only undershoot"
+    )
 
 
 def test_estimate_verify_rejects_shapeless_input(json_file):
@@ -460,3 +465,24 @@ def test_a_closed_output_exits_3_without_a_traceback(json_file):
     assert code == 3
     assert "closed" in err
 
+
+def test_lbcalc_runs_on_numpy_alone(json_file):
+    # a fresh interpreter in which importing scipy fails
+    x, y = json_file(matrix_to_json(X)), json_file(matrix_to_json(Y))
+    script = f"""
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+import lbcalc
+from lbcalc import cli
+from lbcalc.matrices import mat_exp, mat_log, one_norm
+assert [k for k in sys.modules if k.startswith("scipy") and sys.modules[k] is not None] == []
+z = np.array([[0.3, -0.5j], [0.2, 0.4 + 0.1j]])
+g = np.eye(2) + z * (0.97 / one_norm(z))
+assert one_norm(mat_exp(mat_log(g)) - g) <= 1e-13
+sys.exit(cli.main(["bch", "--order", "6", {x!r}, {y!r}]))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert np.allclose(matrix_from_json(json.loads(proc.stdout)["result"]), bch(X, Y, 6), rtol=0, atol=1e-15)

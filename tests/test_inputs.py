@@ -97,11 +97,15 @@ def _replaced(obj, path, value):
     return out
 
 
+def _refuse_constant(name):
+    raise ValueError(f"the report holds {name}, which is not JSON")
+
+
 def _execute(cmd) -> int:
-    """Exit code of one parsed verb, run in this process; its report must be JSON."""
+    """Exit code of one parsed verb, run in this process; its report must be strict JSON."""
     buf = io.StringIO()
     code = cli.execute(cmd, out=buf)
-    json.loads(buf.getvalue())
+    json.loads(buf.getvalue(), parse_constant=_refuse_constant)
     return code
 
 
@@ -270,3 +274,13 @@ def test_overflowing_coefficients_print_no_numpy_warning(json_file, case, path):
     assert code in (0, 1, 3)
     assert err == ""
 
+
+def test_a_norm_that_overflows_exits_3_and_prints_no_infinity(json_file):
+    # two finite coefficients of 1e308 sum to a norm past the double range;
+    # the report used to print "norm": Infinity and exit 0
+    obj = series_to_json(DirichletSeries.from_terms({2: [[1e308]], 3: [[1e308]]}))
+    code, out, err = run_process(["dirichlet-norm", "--s", "0", json_file(obj, "big.json")])
+    assert code == 3
+    assert err == ""
+    report = json.loads(out, parse_constant=_refuse_constant)
+    assert report == {"error": "a number of the report overflows the double range", "verb": "dirichlet-norm"}

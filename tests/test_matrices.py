@@ -118,15 +118,25 @@ def test_log_rejects_matrices_far_from_the_identity():
 
 
 def test_exp_inverts_log_on_the_whole_domain():
+    # distances up to 0.97 take several square roots; every third g is
+    # triangular with entries spread over two decades, far from normal
     rng = generator(11)
-    for _ in range(200):
-        d = int(rng.integers(2, 4))
-        g = np.eye(d) + 0.4 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        dist = one_norm(g - np.eye(d))
-        if not dist <= 0.4:
-            g = np.eye(d) + (g - np.eye(d)) * (0.4 / dist)
+    for i in range(300):
+        d = int(rng.integers(1, 6))
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        if i % 3 == 0:
+            z = np.triu(z) * 10.0 ** rng.uniform(0.0, 2.0, (d, d))
+        g = np.eye(d) + z * (rng.uniform(0.0, 0.97) / one_norm(z))
         back = mat_exp(mat_log(g))
-        assert np.max(np.abs(back - g)) < 1e-10
+        assert one_norm(back - g) <= 1e-13
+
+
+def test_log_of_eigenvalues_near_zero():
+    # the first Denman-Beavers step for 0.05 moves M from 0.95 to 4.5 away
+    # from I; the iteration must not stop there
+    vals = np.array([0.05, 0.04 + 0.02j, 1.9, 0.5 + 0.5j])
+    got = mat_log(np.diag(vals))
+    assert np.max(np.abs(got - np.diag(np.log(vals)))) < 1e-14
 
 
 @settings(max_examples=60, deadline=None)

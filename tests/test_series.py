@@ -360,3 +360,12 @@ def test_oversized_spaces_are_refused(dim, degree):
     with pytest.raises(ValidationError, match="too large"):
         SeriesSpace(dim, degree)
 
+
+def test_the_space_cache_is_bounded():
+    # the battery's 15 spaces fit under the bound, so none of them is rebuilt
+    bound = space.cache_info().maxsize
+    assert bound is not None and bound >= 15
+    for degree in range(1, bound + 6):
+        space(1, degree)
+    assert space.cache_info().currsize == bound
+    assert space(1, bound + 5) is space(1, bound + 5)
