@@ -176,10 +176,7 @@ def _germ_product(g: Germ, h: Germ) -> Germ:
     if g.dim != 1 or h.dim != 1:
         raise ConfigurationError("the demo product map is one-dimensional")
     sp = space(1, g.degree)
-    blocks = []
-    for a in range(len(g.anchors.points)):
-        row = sp.mul(g.coeffs[a][0], h.coeffs[a][0])
-        blocks.append(row[np.newaxis, :])
+    blocks = [sp.mul(a[0], b[0])[np.newaxis] for a, b in zip(g.coeffs, h.coeffs)]
     return Germ(g.anchors, max(g.index, h.index), blocks, g.degree)
 
 

@@ -66,7 +66,7 @@ def _canonical(freqs: np.ndarray, mats: np.ndarray, dim: int):
         np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
         uniq = ordered[first]
         inverse = np.empty(n, dtype=np.intp)
-        inverse[order] = first.cumsum() - 1
+        inverse[order] = uniq.searchsorted(ordered)
         merged = np.zeros((uniq.size, dim, dim), dtype=np.complex128)
         np.add.at(merged, inverse, mats)  # unbuffered, in input order
     if _all(merged):
@@ -144,7 +144,11 @@ class DirichletSeries:
         return self + (-1.0) * other
 
     def __mul__(self, scalar) -> "DirichletSeries":
-        return DirichletSeries(self.freqs, complex(scalar) * self.mats, dim=self.dim)
+        """The frequencies stay canonical, so only zero rows can drop."""
+        terms = _canonical(self.freqs, complex(scalar) * self.mats, self.dim)
+        if not _all(np.isfinite(terms[1])):
+            raise ValidationError("coefficients must be finite")
+        return _series(terms, self.dim)
 
     __rmul__ = __mul__
 
@@ -165,13 +169,16 @@ def sum_series(parts, dim: int) -> DirichletSeries:
 
     Coefficients of a shared frequency add left to right, exactly as a chain
     of `+` adds them.  The parts are series already, so their terms are not
-    validated again.
+    validated again, and one part is its own sum: every series is canonical,
+    which `_canonical` leaves bit for bit as it is.
     """
     for p in parts:
         if p.dim != dim:
             raise ValidationError(f"dimension mismatch: {dim} vs {p.dim}")
     if not parts:
         return _series(_canonical(np.zeros(0, dtype=np.int64), None, dim), dim)
+    if len(parts) == 1:
+        return parts[0]
     return _series(
         _canonical(
             np.concatenate([p.freqs for p in parts]),

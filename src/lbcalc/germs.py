@@ -103,45 +103,46 @@ class AnchorSet:
 class Germ:
     """Truncated series family over an AnchorSet at a fixed index.
 
-    `coeffs` holds one (dim, (degree+1)**dim) packed array per anchor; see
-    `lbcalc.series` for the layout.  Construction canonicalizes dtype, checks
-    that the constant term vanishes, that multi-anchor balls of radius
-    2/index stay disjoint, and runs the sup/d norm comparison hook.  The
-    coefficient arrays are read-only, so the majorants the hook computes at
-    the germ's own index stay valid and are reused by the norm functions.
+    `coeffs` is one read-only (anchors, dim, (degree+1)**dim) array of packed
+    blocks, one per anchor; see `lbcalc.series` for the layout.  Construction
+    copies the blocks into it at once and checks it as a whole (finite, zero
+    constant term and unused slots; a failed shape check names the first bad
+    block), checks that multi-anchor balls of radius 2/index stay disjoint,
+    and runs the sup/d norm comparison hook, whose majorants at the germ's
+    own index stay valid and are reused by the norm functions.
     """
 
-    __slots__ = ("anchors", "index", "degree", "coeffs", "_stack", "_norms")
+    __slots__ = ("anchors", "index", "degree", "coeffs", "_norms")
 
     def __init__(self, anchors: AnchorSet, index: int, coeffs, degree: int = DEFAULT_DEGREE):
         if not isinstance(anchors, AnchorSet):
             anchors = AnchorSet(anchors)
         sp = _frame(anchors, index, degree)
-        if len(coeffs) != len(anchors):
-            raise ValidationError(
-                f"got {len(coeffs)} coefficient blocks for {len(anchors)} anchors"
-            )
-        arrays = [np.asarray(block, dtype=np.complex128) for block in coeffs]
-        for arr in arrays:
-            if arr.shape != (anchors.dim, sp.size):
-                raise ValidationError(
-                    f"coefficient block has shape {arr.shape}, expected {(anchors.dim, sp.size)}"
-                )
-        # one fresh (anchors, dim, size) copy, checked as a whole
-        stack = np.array(arrays)
+        count = len(anchors)
+        if len(coeffs) != count:
+            raise ValidationError(f"got {len(coeffs)} coefficient blocks for {count} anchors")
+        want = (anchors.dim, sp.size)
+        try:  # one fresh (anchors, dim, size) copy, checked as a whole
+            stack = np.array(coeffs, dtype=np.complex128)
+        except ValueError:  # ragged blocks
+            stack = None
+        if stack is None or stack.shape[1:] != want:
+            for block in coeffs:  # name the first bad block
+                shape = np.asarray(block, dtype=np.complex128).shape
+                if shape != want:
+                    raise ValidationError(f"coefficient block has shape {shape}, expected {want}")
         if np.count_nonzero(np.isfinite(stack)) != stack.size:
             raise ValidationError("series coefficients must be finite")
-        if np.count_nonzero(stack[:, :, 0]):
-            raise ValidationError("germs vanish at their anchors; degree-0 term must be zero")
-        if sp.unused.size and stack[:, :, sp.unused].any():
+        if np.count_nonzero(stack.take(sp.vanishing, axis=2)):
+            if np.count_nonzero(stack[:, :, 0]):
+                raise ValidationError("germs vanish at their anchors; degree-0 term must be zero")
             raise ValidationError("coefficients above the truncation degree must be zero")
-        stack.flags.writeable = False
+        stack.setflags(write=False)
         self.anchors = anchors
         self.index = index
         self.degree = degree
-        self._stack = stack
-        self.coeffs = tuple(stack)
-        self._norms = _run_norm_hook(self)
+        self.coeffs = stack
+        self._norms = _run_norm_hook(sp, stack, index)
 
     @classmethod
     def from_terms(cls, anchors, index: int, terms_per_anchor, degree: int = DEFAULT_DEGREE) -> "Germ":
@@ -165,21 +166,18 @@ class Germ:
     def __add__(self, other: "Germ") -> "Germ":
         _check_frames(self, other)
         idx = max(self.index, other.index)
-        return Germ(self.anchors, idx, self._stack + other._stack, self.degree)
+        return Germ(self.anchors, idx, self.coeffs + other.coeffs, self.degree)
 
     def __sub__(self, other: "Germ") -> "Germ":
         _check_frames(self, other)
         idx = max(self.index, other.index)
-        return Germ(self.anchors, idx, self._stack - other._stack, self.degree)
+        return Germ(self.anchors, idx, self.coeffs - other.coeffs, self.degree)
 
     def __neg__(self) -> "Germ":
-        return Germ(self.anchors, self.index, -self._stack, self.degree)
+        return Germ(self.anchors, self.index, -self.coeffs, self.degree)
 
     def __mul__(self, scalar) -> "Germ":
-        scalar = complex(scalar)
-        return Germ(
-            self.anchors, self.index, [scalar * a for a in self.coeffs], self.degree
-        )
+        return Germ(self.anchors, self.index, complex(scalar) * self.coeffs, self.degree)
 
     __rmul__ = __mul__
 
@@ -205,9 +203,9 @@ def sum_germs(germs) -> Germ:
     if len(germs) == 1:
         return first
     _check_frames(*germs)
-    total = first._stack
+    total = first.coeffs
     for g in germs[1:]:
-        total = total + g._stack
+        total = total + g.coeffs
     return Germ(first.anchors, max(g.index for g in germs), total, first.degree)
 
 
@@ -231,21 +229,26 @@ def with_index(g: Germ, index: int) -> Germ:
 # -- norms ----------------------------------------------------------------
 
 
+def _slot_norms(stack: np.ndarray) -> np.ndarray:
+    """||c_a|| per anchor and slot: the largest component, or the only one."""
+    norms = np.abs(stack)
+    return norms[:, 0] if norms.shape[1] == 1 else np.maximum.reduce(norms, axis=1)
+
+
 def _majorants(sp, stack: np.ndarray, rho: float) -> tuple:
     """(sup, derivative) majorants at radius rho, max over anchor blocks."""
     sup = 0.0
     dval = 0.0
-    for sums in sp.degree_sums(np.abs(stack).max(axis=1)).tolist():
+    for sums in sp.degree_sums(_slot_norms(stack)).tolist():
         s = 0.0
         d = 0.0
         rho_pow = 1.0  # rho^(k-1)
         for k, h in enumerate(sums, start=1):
-            if k > 1:
-                rho_pow *= rho
             if h:
                 t = h * rho_pow
                 s += t * rho
                 d += k * t
+            rho_pow *= rho
         sup = max(sup, s)
         dval = max(dval, d)
     return sup, dval
@@ -267,7 +270,7 @@ def norms_at_index(g: Germ, index: int) -> tuple:
         raise ValidationError(f"index must be a positive integer, got {index!r}")
     if index == g.index:
         return g._norms
-    return _majorants(space(g.dim, g.degree), g._stack, 1.0 / index)
+    return _majorants(space(g.dim, g.degree), g.coeffs, 1.0 / index)
 
 
 def sup_norm(g: Germ) -> float:
@@ -284,17 +287,17 @@ def degree_majorants(g: Germ) -> np.ndarray:
     """Per-degree coefficient sums h_k = max over anchors of sum ||c_a||, |a| = k."""
     sp = space(g.dim, g.degree)
     out = np.zeros(g.degree + 1)
-    out[1:] = sp.degree_sums(np.abs(g._stack).max(axis=1)).max(axis=0)
+    out[1:] = np.maximum.reduce(sp.degree_sums(_slot_norms(g.coeffs)))
     return out
 
 
-def _run_norm_hook(g: Germ) -> tuple:
-    """Check sup <= (1/n) d at the germ's own index; return (sup, d)."""
-    rho = 1.0 / g.index
-    sup, dval = _majorants(space(g.dim, g.degree), g._stack, rho)
+def _run_norm_hook(sp, stack: np.ndarray, index: int) -> tuple:
+    """Check sup <= (1/n) d for a germ's blocks at its own index; return (sup, d)."""
+    rho = 1.0 / index
+    sup, dval = _majorants(sp, stack, rho)
     if sup > rho * dval * (1.0 + _NORM_SLACK):
         raise InternalCheckError(
-            f"norm comparison failed: sup {sup} > (1/{g.index}) * d {dval}"
+            f"norm comparison failed: sup {sup} > (1/{index}) * d {dval}"
         )
     norm_check_stats["checked"] += 1
     return sup, dval

@@ -32,9 +32,9 @@ import numpy as np
 from .dirichlet import DirichletSeries, norm_s, ordered_sum, sum_series, term_norms, zero_series
 from .errors import DomainError, InternalCheckError, ValidationError
 from .germs import AnchorSet, Germ, degree_majorants, norms_at_index, sum_germs, zero_germ
-from .jsonio import fields, numbers
+from .jsonio import fields, integer, numbers
 from .matrices import compatible_norm
-from .sampling import random_germ, random_matrix, random_series
+from .sampling import _frequency_pool, random_germ, random_matrix, random_series
 
 GERM_CONSTANT = 3.0 / (3.0 - math.e)  # the overhead R/(R - 2er) at r/R = 1/6
 _DRAW_SHAVE = 1.0 - 1e-12  # keeps rescaled draws strictly under their radius
@@ -49,7 +49,7 @@ class MatrixSteps:
     kind = "matrix"
 
     def __init__(self, dim: int):
-        self.dim = dim
+        self.dim = integer(dim, "matrix dimension", 1)
 
     def norm(self, j: int, x) -> float:
         return compatible_norm(x)
@@ -73,9 +73,11 @@ class DirichletSteps:
     kind = "dirichlet"
 
     def __init__(self, dim: int, freq_pool=(1, 2, 3, 4, 5, 6, 7, 8), terms: int = 3):
-        self.dim = dim
-        self.freq_pool = tuple(freq_pool)
-        self.terms = terms
+        self.dim = integer(dim, "series dimension", 1)
+        self.freq_pool = pool = _frequency_pool(sorted(set(freq_pool)))  # sorted and checked once
+        self.terms = integer(terms, "terms", 1)
+        if terms > pool.size:
+            raise ValidationError(f"cannot draw {terms} distinct frequencies from {pool.size}")
 
     def norm(self, j: int, x: DirichletSeries) -> float:
         return norm_s(x, float(j))
@@ -99,8 +101,8 @@ class GermSteps:
 
     def __init__(self, anchors: AnchorSet, degree: int = 8, terms: int = 6):
         self.anchors = anchors
-        self.degree = degree
-        self.terms = terms
+        self.degree = integer(degree, "truncation degree", 1)
+        self.terms = integer(terms, "terms", 1)
 
     def norm(self, j: int, g: Germ) -> float:
         return norms_at_index(g, j)[0]
@@ -274,29 +276,27 @@ def verify_certificate(
         raise DomainError(
             f"the certificate formulas need f(0) = 0, got norm {zero_val}"
         )
-    m = len(cert)
+    delta, r = cert.delta, cert.r
+    m = len(delta)
     worst = 0.0
     for _ in range(samples):
         length = int(rng.integers(1, m + 1))
         terms = []
         norms = []
         for j in range(1, length + 1):
-            target = float(rng.random()) * cert.delta[j - 1] * _DRAW_SHAVE
-            x = scale.random(j, rng, target)
-            terms.append((j, x))
-            norms.append(scale.norm(j, x))
-        # membership check, same strict balls neighborhood_contains uses,
-        # on the norms already in hand
-        for j, nj in enumerate(norms, start=1):
-            if not nj < cert.delta[j - 1]:
-                raise InternalCheckError(
-                    f"sampled term at step {j} has norm {nj} >= delta {cert.delta[j - 1]}"
-                )
-        if not math.fsum(norms) < cert.r:
+            bound = delta[j - 1]
+            x = scale.random(j, rng, float(rng.random()) * bound * _DRAW_SHAVE)
+            nj = scale.norm(j, x)
+            # membership, with the strict balls neighborhood_contains uses
+            if not nj < bound:
+                raise InternalCheckError(f"sampled term at step {j} has norm {nj} >= delta {bound}")
+            terms.append(x)
+            norms.append(nj)
+        if not math.fsum(norms) < r:
             raise InternalCheckError(
-                f"sampled decomposition leaves the working ball of radius {cert.r}"
+                f"sampled decomposition leaves the working ball of radius {r}"
             )
-        value = out_norm(f(scale.combine([x for _, x in terms])))
+        value = out_norm(f(scale.combine(terms)))
         worst = max(worst, float(value))
     verdict = worst < cert.epsilon
     return {

@@ -48,7 +48,7 @@ def as_matrix(value, dim: int | None = None) -> np.ndarray:
 
 def one_norm(x) -> float:
     """Induced 1-norm: maximum absolute column sum."""
-    return float(np.abs(x).sum(axis=0).max())
+    return float(np.maximum.reduce(np.add.reduce(np.abs(x), axis=0), axis=None))
 
 
 def compatible_norm(x) -> float:
@@ -66,7 +66,7 @@ def compatible_norms(stack) -> np.ndarray:
     Each entry equals compatible_norm of that matrix bit for bit: the column
     sums add the rows in the same order, and the maximum is exact.
     """
-    return NORM_SCALE * np.abs(stack).sum(axis=-2).max(axis=-1)
+    return NORM_SCALE * np.maximum.reduce(np.add.reduce(np.abs(stack), axis=-2), axis=-1)
 
 
 def commutator(x, y):

@@ -95,7 +95,7 @@ class SeriesSpace:
         totals = np.full(self.size, -1, dtype=np.int64)
         totals[packed] = degrees
         self.totals = totals
-        self.unused = np.flatnonzero(totals < 0)
+        self.vanishing = np.flatnonzero(totals <= 0)  # the constant slot and the unused ones
         self.nonconstant = np.flatnonzero(totals >= 1)
         compact = np.full(self.size, -1, dtype=np.intp)
         compact[packed] = np.arange(live)
@@ -168,16 +168,20 @@ class SeriesSpace:
     def degree_sums(self, norms: np.ndarray) -> np.ndarray:
         """Per-degree sums norms[..., by_degree[k]].sum() for k = 1..D.
 
-        `norms` is (..., size); the result is (..., D).  numpy adds fewer than
-        eight values left to right, so when every degree has fewer than eight
-        slots one padded gather, its padding set to +0.0, gives the same bits
-        as the per-degree sums.  Longer degrees, where numpy sums pairwise,
-        are summed one degree at a time.
+        `norms` is (..., size) and nonnegative; the result is (..., D) and may
+        be a view of `norms`.  In one variable slot k is degree k and holds
+        one value, which is its own sum.  numpy adds fewer than eight values
+        left to right, so when every degree has fewer than eight slots one
+        padded gather, its padding set to +0.0, gives the same bits as the
+        per-degree sums.  Longer degrees, where numpy sums pairwise, are
+        summed one degree at a time.
         """
+        if self.dim == 1:
+            return norms[..., 1:]
         if self._degree_table.shape[1] < 8:
             gathered = norms[..., self._degree_table]
             gathered[..., self._degree_pad] = 0.0
-            return gathered.sum(axis=-1)
+            return np.add.reduce(gathered, axis=-1)
         sums = [
             [row[self.by_degree[k]].sum() for k in range(1, self.degree + 1)]
             for row in norms.reshape(-1, self.size)

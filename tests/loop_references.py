@@ -9,8 +9,12 @@ them runs over the full product table, as do those of the derivative of
 composition, whose Jacobian term takes one `mul` per pair of components.
 The contour coefficient is added up node by node.  The last two walk the BCH
 plan node by node, as `dirichlet.bch_series` and `matrices.bch` did before
-`words.apply_plan` walked it one degree at a time.  The tests require the
-new code to agree with them bit for bit.
+`words.apply_plan` walked it one degree at a time.  The last three are the
+small-object kernels of the certificate hammer as they were before their
+per-call overhead was cut: the majorant loop over per-degree numpy sums,
+the canonical form of a Dirichlet series with its scatter by inverse
+permutation, and the complex normal draw taken in two calls.  The tests
+require the new code to agree with them bit for bit.
 """
 
 import math
@@ -173,3 +177,56 @@ def reference_bch_matrix(x, y, order):
             term = weight * v
             acc = term if acc is None else acc + term
     return acc
+
+
+def reference_majorants(sp, blocks, rho):
+    """(sup, d, h): the majorants of the blocks at radius rho and the per-degree
+    sums h_k maxed over anchors, summed degree by degree with numpy's sum."""
+    sup = dval = 0.0
+    h_max = np.zeros(sp.degree + 1)
+    for cols in blocks:
+        coeff_norm = np.abs(cols).max(axis=0)
+        s = d = 0.0
+        rho_pow = 1.0
+        for k in range(1, sp.degree + 1):
+            if k > 1:
+                rho_pow *= rho
+            h = float(coeff_norm[sp.by_degree[k]].sum())
+            h_max[k] = max(h_max[k], h)
+            if h:
+                t = h * rho_pow
+                s += t * rho
+                d += k * t
+        sup = max(sup, s)
+        dval = max(dval, d)
+    return sup, dval, h_max
+
+
+def reference_canonical(freqs, mats, dim):
+    """Sort, merge duplicates by np.add.at over the inverse permutation, drop zero rows."""
+    n = freqs.size
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros((0, dim, dim), dtype=np.complex128)
+    if n == 1 or np.all(freqs[1:] > freqs[:-1]):
+        uniq = freqs.copy()
+        merged = mats + 0.0
+    else:
+        order = freqs.argsort(kind="stable")
+        ordered = freqs[order]
+        first = np.empty(n, dtype=bool)
+        first[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        uniq = ordered[first]
+        inverse = np.empty(n, dtype=np.intp)
+        inverse[order] = first.cumsum() - 1
+        merged = np.zeros((uniq.size, dim, dim), dtype=np.complex128)
+        np.add.at(merged, inverse, mats)
+    if np.all(merged != 0):
+        return uniq, merged
+    keep = merged.any(axis=(1, 2))
+    return uniq[keep], merged[keep]
+
+
+def reference_complex_normal(rng, shape):
+    """Real parts in one call, imaginary parts in the next."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -12,6 +12,7 @@ import pytest
 
 from lbcalc.dirichlet import (
     DirichletSeries,
+    _canonical,
     bch_series,
     bracket,
     embed,
@@ -21,12 +22,13 @@ from lbcalc.dirichlet import (
     norm_s,
     series_from_json,
     series_to_json,
+    sum_series,
     zero_series,
 )
 from lbcalc.errors import DomainError, ValidationError
 from lbcalc.matrices import bch, commutator, compatible_norm, mat_exp
 from lbcalc.sampling import generator, random_series
-from loop_references import reference_bch_series
+from loop_references import reference_bch_series, reference_canonical
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 A = np.array([[0.1, 0.2], [0.0, -0.1]], dtype=complex)
@@ -358,6 +360,47 @@ def test_canonical_form_matches_a_sequential_merge(layout):
         ref_freqs, ref_mats = _merge_reference(freqs, mats)
         assert _same_bits(g.freqs, ref_freqs)
         assert _same_bits(g.mats, ref_mats)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_canonical_form_matches_the_inverse_scatter_reference(dim):
+    rng = np.random.default_rng(17)
+    layouts = [
+        lambda: np.zeros(0, dtype=np.int64),
+        lambda: np.array([5]),
+        lambda: np.sort(rng.choice(np.arange(1, 40), size=6, replace=False)),
+        lambda: rng.permutation(np.arange(1, 40))[:6],
+        lambda: rng.integers(1, 5, size=12),
+        lambda: np.concatenate([np.full(11, 6), rng.integers(1, 9, size=5)]),  # a group of 11
+    ]
+    for trial in range(60):
+        freqs = layouts[trial % len(layouts)]()
+        mats = _wild_mats(rng, freqs.size, dim) if freqs.size else np.zeros((0, dim, dim), complex)
+        if freqs.size > 1:
+            # an exact cancellation, and a row of -0.0 entries
+            freqs = np.concatenate([freqs, freqs[:1], freqs[1:2]])
+            mats = np.concatenate([mats, -mats[:1], np.full((1, dim, dim), -0.0 - 0.0j)])
+        got = _canonical(freqs, mats, dim)
+        want = reference_canonical(freqs, mats, dim)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+
+def test_scalar_multiples_match_building_the_scaled_terms():
+    rng = np.random.default_rng(19)
+    g = DirichletSeries(np.array([1, 3, 4]), _wild_mats(rng, 3, 2), dim=2)
+    for c in (2.0, -1.0, 0.5 - 3.0j, 1e-300, 0.0, -0.0):
+        got = c * g
+        want = DirichletSeries(g.freqs, complex(c) * g.mats, dim=2)
+        assert _same_bits(got.freqs, want.freqs) and _same_bits(got.mats, want.mats)
+    assert (0.0 * g).support == 0
+
+
+def test_a_sum_of_one_series_is_that_series():
+    rng = np.random.default_rng(23)
+    g = random_series(rng, 2, (1, 2, 3, 4, 5), 3, target=0.3)
+    assert sum_series([g], 2) is g
+    folded = zero_series(2) + g
+    assert _same_bits(folded.freqs, g.freqs) and _same_bits(folded.mats, g.mats)
 
 
 def test_canonical_form_does_not_alias_its_input():

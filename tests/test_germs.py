@@ -16,15 +16,18 @@ from loop_references import (
     chart_components,
     reference_compose_derivative_blocks,
     reference_inverse_blocks,
+    reference_majorants,
     reference_substitute,
     same_bits,
 )
 
+from lbcalc import catalog
 from lbcalc.acceptance import lagrange_reversion
 from lbcalc.errors import DomainError, InternalCheckError, ValidationError
 from lbcalc.germs import (
     AnchorSet,
     Germ,
+    block_majorants,
     compose,
     compose_derivative,
     d_norm,
@@ -417,30 +420,6 @@ def test_germ_json_rejects_bad_schemas():
 # -- fast paths against direct references ---------------------------------------
 
 
-def _majorants_reference(g, index):
-    """The per-anchor, per-degree loop the stacked majorants replace."""
-    sp = space(g.dim, g.degree)
-    rho = 1.0 / index
-    sup = dval = 0.0
-    h_max = np.zeros(g.degree + 1)
-    for cols in g.coeffs:
-        coeff_norm = np.abs(cols).max(axis=0)
-        s = d = 0.0
-        rho_pow = 1.0
-        for k in range(1, g.degree + 1):
-            if k > 1:
-                rho_pow *= rho
-            h = float(coeff_norm[sp.by_degree[k]].sum())
-            h_max[k] = max(h_max[k], h)
-            if h:
-                t = h * rho_pow
-                s += t * rho
-                d += k * t
-        sup = max(sup, s)
-        dval = max(dval, d)
-    return sup, dval, h_max
-
-
 @pytest.mark.parametrize("dim, degree", [(1, 8), (2, 5), (2, 8), (3, 6)])
 def test_stacked_majorants_match_the_per_degree_loop(dim, degree):
     # (2, 8) and (3, 6) have degrees with eight or more monomials, where
@@ -451,7 +430,7 @@ def test_stacked_majorants_match_the_per_degree_loop(dim, degree):
         g = random_germ(rng, anchors, 3, degree=degree, terms=40)
         g = Germ(anchors, 3, [c * 10.0 ** rng.integers(-6, 7, c.shape) for c in g.coeffs], degree)
         for index in (3, 4, 7):
-            sup, dval, h = _majorants_reference(g, index)
+            sup, dval, h = reference_majorants(space(dim, degree), g.coeffs, 1.0 / index)
             assert norms_at_index(g, index) == (sup, dval)
         assert degree_majorants(g).tobytes() == h.tobytes()
 
@@ -498,3 +477,97 @@ def test_germ_sum_matches_a_fold_of_additions():
     for a, b in zip(got.coeffs, folded.coeffs):
         assert a.tobytes() == b.tobytes()
     assert sum_germs(terms[:1]) is terms[0]
+
+
+def _wild_blocks(rng, sp, count, dim):
+    """Blocks with magnitudes far apart, -0.0 parts and exact cancellations."""
+    blocks = np.zeros((count, dim, sp.size), dtype=np.complex128)
+    live = sp.nonconstant
+    shape = (count, dim, live.size)
+    raw = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.integers(-6, 7, shape)
+    raw.real[rng.random(shape) < 0.2] = -0.0
+    raw.imag[rng.random(shape) < 0.2] = -0.0
+    raw[rng.random(shape) < 0.2] = -0.0 - 0.0j
+    blocks[:, :, live] = raw
+    # a sum that cancels exactly leaves +0.0 where it ran
+    cancel = rng.random(shape) < 0.2
+    blocks[:, :, live] = np.where(cancel, raw + (-raw), raw)
+    return blocks
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_majorants_match_the_loop_reference(dim):
+    rng = generator(61)
+    for degree in range(1, 9):
+        sp = space(dim, degree)
+        for count in (1, 2, 3):
+            anchors = AnchorSet([np.full(dim, 3.0 * a) for a in range(count)])
+            for _ in range(3):
+                blocks = _wild_blocks(rng, sp, count, dim)
+                for index in (1, 2, 12):
+                    sup, dval, h = reference_majorants(sp, blocks, 1.0 / index)
+                    g = Germ(anchors, index, blocks, degree)
+                    assert math.copysign(1.0, sup) == 1.0
+                    assert (sup, dval) == (sup_norm(g), d_norm(g)) == block_majorants(anchors, index, blocks, degree)
+                    assert (sup, dval) == norms_at_index(with_index(g, 12), index)
+                    assert degree_majorants(g).tobytes() == h.tobytes()
+
+
+_SP2 = space(2, 8)
+
+
+def _bad_pair(const=False, unused=False, nan=None):
+    cols = np.zeros((2, _SP2.size), dtype=np.complex128)
+    if const:
+        cols[0, 0] = 1.0
+    if unused:
+        cols[1, _SP2.vanishing[1]] = 1.0
+    if nan is not None:
+        cols[0, nan] = np.nan
+    return [cols]
+
+
+@pytest.mark.parametrize(
+    "anchors, blocks, message",
+    [
+        (ORIGIN1, [np.zeros((1, 9))] * 2, "got 2 coefficient blocks for 1 anchors"),
+        (ORIGIN1, [np.zeros((1, 5))], "coefficient block has shape (1, 5), expected (1, 9)"),
+        (ORIGIN1, [np.zeros(9)], "coefficient block has shape (9,), expected (1, 9)"),
+        (
+            AnchorSet([[0.0], [3.0]]),
+            [np.zeros((1, 9)), np.zeros((1, 5))],
+            "coefficient block has shape (1, 5), expected (1, 9)",
+        ),
+        (ORIGIN2, _bad_pair(const=True), "germs vanish at their anchors; degree-0 term must be zero"),
+        (ORIGIN2, _bad_pair(unused=True), "coefficients above the truncation degree must be zero"),
+        (ORIGIN2, _bad_pair(const=True, unused=True), "germs vanish at their anchors; degree-0 term must be zero"),
+        (ORIGIN2, _bad_pair(nan=5), "series coefficients must be finite"),
+        (ORIGIN2, _bad_pair(nan=0), "series coefficients must be finite"),
+        (ORIGIN2, _bad_pair(nan=int(_SP2.vanishing[1])), "series coefficients must be finite"),
+    ],
+    ids=["count", "shape", "flat", "ragged", "constant", "unused", "constant-and-unused",
+         "nan", "nan-constant", "nan-unused"],
+)
+def test_construction_refusals_name_the_first_fault(anchors, blocks, message):
+    with pytest.raises(ValidationError) as err:
+        Germ(anchors, 1, blocks, 8)
+    assert str(err.value) == message
+
+
+def test_sums_products_and_scalar_multiples_run_the_hook_once():
+    rng = generator(71)
+    g, h = (random_germ(rng, ORIGIN1, j, terms=5) for j in (2, 3))
+    builds = {
+        "sum": lambda: g + h,
+        "difference": lambda: g - h,
+        "sum_germs": lambda: sum_germs([g, h, g]),
+        "negation": lambda: -g,
+        "left scalar": lambda: 0.5 * g,
+        "right scalar": lambda: g * (2.0 - 1.0j),
+        "product": lambda: catalog._germ_product(g, h),
+        "random_germ": lambda: random_germ(rng, ORIGIN1, 2, terms=5, sup_target=0.1),
+    }
+    for name, build in builds.items():
+        before = norm_check_stats["checked"]
+        build()
+        assert norm_check_stats["checked"] == before + 1, name
