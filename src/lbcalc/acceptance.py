@@ -7,12 +7,16 @@ command wraps.  The oracles here are deliberately independent of the code
 under test: matrix BCH is checked against exp/log composed numerically,
 series reversion against an exact rational Lagrange computation, and the
 zeta tail cutoff against a partial-sum bracket.
+
+Reports carry no wall times, so two runs with one seed print the same
+bytes and the verdicts do not depend on host load.  The time budgets of
+criteria 1 (10 s) and 8 (60 s) are checked by the test suite, which times
+each criterion as the battery runs it.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,11 +50,10 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
-    runtime: float
 
     def line(self) -> str:
         word = "PASS" if self.passed else "FAIL"
-        return f"{word} {self.number:2d} {self.name}: {self.detail} ({self.runtime:.2f} s)"
+        return f"{word} {self.number:2d} {self.name}: {self.detail}"
 
     def to_json(self) -> dict:
         return {
@@ -58,12 +61,11 @@ class CriterionResult:
             "name": self.name,
             "passed": self.passed,
             "detail": self.detail,
-            "runtime": round(self.runtime, 3),
         }
 
 
-def _result(number, name, passed, detail, t0) -> CriterionResult:
-    return CriterionResult(number, name, bool(passed), detail, time.perf_counter() - t0)
+def _result(number, name, passed, detail) -> CriterionResult:
+    return CriterionResult(number, name, bool(passed), detail)
 
 
 # -- oracles -----------------------------------------------------------------
@@ -125,7 +127,6 @@ def zeta2_tail_bracket(m: int, terms: int = 1_000_000) -> tuple:
 
 def criterion_bch_matrix_oracle(seed: int = 0) -> CriterionResult:
     """500 seeded 3x3 pairs: series BCH against log(exp x exp y), 1e-9."""
-    t0 = time.perf_counter()
     rng = generator(seed)
     worst = 0.0
     for _ in range(500):
@@ -134,17 +135,15 @@ def criterion_bch_matrix_oracle(seed: int = 0) -> CriterionResult:
         direct = bch(x, y, 10)
         via_group = mat_log(mat_exp(x) @ mat_exp(y))
         worst = max(worst, one_norm(direct - via_group))
-    elapsed = time.perf_counter() - t0
-    passed = worst <= 1e-9 and elapsed < 10.0
+    passed = worst <= 1e-9
     return _result(
         1, "bch-matrix-oracle", passed,
-        f"max defect {worst:.3g} over 500 pairs, budget 1e-9", t0,
+        f"max defect {worst:.3g} over 500 pairs, budget 1e-9",
     )
 
 
 def criterion_exp_homomorphism(seed: int = 0) -> CriterionResult:
     """200 sparse series pairs: exp of the BCH combination against the product."""
-    t0 = time.perf_counter()
     rng = generator(seed)
     probes = (0.0 + 0.0j, 1.0 + 0.5j, 2.0 - 1.0j)
     worst = 0.0
@@ -158,13 +157,12 @@ def criterion_exp_homomorphism(seed: int = 0) -> CriterionResult:
             worst = max(worst, one_norm(lhs - rhs))
     return _result(
         2, "exp-homomorphism", worst <= 1e-8,
-        f"max pointwise defect {worst:.3g} over 200 pairs x 3 points, budget 1e-8", t0,
+        f"max pointwise defect {worst:.3g} over 200 pairs x 3 points, budget 1e-8",
     )
 
 
 def criterion_bracket_axioms(seed: int = 0) -> CriterionResult:
     """10^4 samples: antisymmetry exact, Jacobi <= 1e-12, submultiplicative norms."""
-    t0 = time.perf_counter()
     rng = generator(seed)
     jac_worst = 0.0
     anti_bad = 0
@@ -187,13 +185,12 @@ def criterion_bracket_axioms(seed: int = 0) -> CriterionResult:
     return _result(
         3, "bracket-axioms", passed,
         f"antisymmetry misses {anti_bad}, worst Jacobi {jac_worst:.3g}, "
-        f"submultiplicativity misses {sub_bad} over 10^4 triples", t0,
+        f"submultiplicativity misses {sub_bad} over 10^4 triples",
     )
 
 
 def criterion_bonding_contraction(seed: int = 0) -> CriterionResult:
     """10^4 samples: norm_t <= norm_s whenever t > s."""
-    t0 = time.perf_counter()
     rng = generator(seed)
     bad = 0
     for _ in range(10_000):
@@ -205,13 +202,12 @@ def criterion_bonding_contraction(seed: int = 0) -> CriterionResult:
             bad += 1
     return _result(
         4, "bonding-contraction", bad == 0,
-        f"{bad} violations of norm_t <= norm_s over 10^4 samples", t0,
+        f"{bad} violations of norm_t <= norm_s over 10^4 samples",
     )
 
 
 def criterion_germ_inversion(seed: int = 0) -> CriterionResult:
     """10^3 germs, dims 1-3: residual below 1e-10, sup bound 1/(6n), oracle match."""
-    t0 = time.perf_counter()
     rngs = spawn(seed, 4)
     worst_res = 0.0
     worst_sup_excess = 0.0
@@ -254,13 +250,12 @@ def criterion_germ_inversion(seed: int = 0) -> CriterionResult:
     return _result(
         5, "germ-inversion", passed,
         f"max residual coeff {worst_res:.3g}, sup slack {max(0.0, -worst_sup_excess):.3g}, "
-        f"oracle gap {worst_oracle:.3g}", t0,
+        f"oracle gap {worst_oracle:.3g}",
     )
 
 
 def criterion_composition_derivative(seed: int = 0) -> CriterionResult:
     """compose_derivative against central differences, 100 quadruples."""
-    t0 = time.perf_counter()
     rng = generator(seed)
     h = 1e-5
     worst = 0.0
@@ -284,13 +279,12 @@ def criterion_composition_derivative(seed: int = 0) -> CriterionResult:
         )
     return _result(
         6, "composition-derivative", worst <= 1e-6,
-        f"max relative gap {worst:.3g} against central differences", t0,
+        f"max relative gap {worst:.3g} against central differences",
     )
 
 
 def criterion_series_bound_suite(seed: int = 0) -> CriterionResult:
     """Zero false verdicts on the 50-family corpus; exact monomial recovery."""
-    t0 = time.perf_counter()
     false_verdicts = 0
     routes = {"majorants": 0, "probed": 0, "mixed": 0}
     for case in catalog.estimate_corpus():
@@ -318,30 +312,27 @@ def criterion_series_bound_suite(seed: int = 0) -> CriterionResult:
         7, "series-bound-suite", passed,
         f"{false_verdicts} false verdicts over 50 families "
         f"(routes {routes['majorants']}/{routes['probed']}/{routes['mixed']}), "
-        f"monomial recovery gap {worst_coeff:.3g}", t0,
+        f"monomial recovery gap {worst_coeff:.3g}",
     )
 
 
 def criterion_certificate_hammer(seed: int = 0) -> CriterionResult:
     """All 20 registry maps: 10^4 samples inside the certificate, margin > 0."""
-    t0 = time.perf_counter()
     bad = []
     for case in catalog.map_registry():
         f, out_norm, scale, cert = case.bundle()
         report = verify_certificate(f, out_norm, cert, scale, samples=10_000, seed=seed)
         if not (report["verdict"] and report["margin"] > 0.0):
             bad.append(case.name)
-    elapsed = time.perf_counter() - t0
-    passed = not bad and elapsed < 60.0
+    passed = not bad
     return _result(
         8, "certificate-hammer", passed,
-        f"{20 - len(bad)}/20 maps passed 10^4-sample runs, budget 60 s", t0,
+        f"{20 - len(bad)}/20 maps passed 10^4-sample runs, budget 60 s",
     )
 
 
 def criterion_regularity_moduli(seed: int = 0) -> CriterionResult:
     """Constant and cutoff against oracles; adversarial single-frequency sweep."""
-    t0 = time.perf_counter()
     from .limits import GERM_CONSTANT
 
     d_ok = abs(GERM_CONSTANT - 10.6489403) < 5e-8
@@ -366,13 +357,12 @@ def criterion_regularity_moduli(seed: int = 0) -> CriterionResult:
         9, "regularity-moduli", passed,
         f"constant within {abs(GERM_CONSTANT - 10.6489403):.2g} of 10.6489403, "
         f"cutoff 40 bracketed by [{lo40:.6f}, {hi39:.6f}], "
-        f"{sweep_bad} sweep counterexamples over 10^4 frequencies", t0,
+        f"{sweep_bad} sweep counterexamples over 10^4 frequencies",
     )
 
 
 def criterion_norm_comparison_hook(seed: int = 0) -> CriterionResult:
     """Every germ construction runs the sup <= (1/n) d comparison hook."""
-    t0 = time.perf_counter()
     start = norm_check_stats["checked"]
     rng = generator(seed)
     worst = 0.0
@@ -388,7 +378,7 @@ def criterion_norm_comparison_hook(seed: int = 0) -> CriterionResult:
     passed = ran >= built and worst <= 1e-12
     return _result(
         10, "norm-comparison-hook", passed,
-        f"hook ran {ran} times for {built} constructions here, max excess {worst:.3g}", t0,
+        f"hook ran {ran} times for {built} constructions here, max excess {worst:.3g}",
     )
 
 

@@ -23,7 +23,6 @@ from .estimates import AnalyticSample, sample_from_germ, sample_from_polynomial
 from .errors import ConfigurationError
 from .germs import AnchorSet, Germ, norms_at_index
 from .limits import (
-    ContinuityCertificate,
     DirichletSteps,
     GermSteps,
     MatrixSteps,
@@ -153,18 +152,12 @@ class MapCase:
     epsilon: float
     setup: object  # () -> (f, out_norm, scale, sup_on_ball)
 
-    def _certificate(self, sup: float) -> ContinuityCertificate:
-        factor = self.radius / (self.radius - 2.0 * math.e * self.r)
-        sups = [factor * sup] * 3
-        return build_certificate(sups, self.radius, self.r, self.epsilon)
-
-    def certificate(self) -> ContinuityCertificate:
-        return self._certificate(self.setup()[3])
-
     def bundle(self):
         """(f, out_norm, scale, certificate) from one call of setup."""
         f, out_norm, scale, sup = self.setup()
-        return f, out_norm, scale, self._certificate(sup)
+        factor = self.radius / (self.radius - 2.0 * math.e * self.r)
+        sups = [factor * sup] * 3
+        return f, out_norm, scale, build_certificate(sups, self.radius, self.r, self.epsilon)
 
 
 def _germ_product(g: Germ, h: Germ) -> Germ:

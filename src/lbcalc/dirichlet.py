@@ -80,7 +80,8 @@ class DirichletSeries:
 
     `freqs` is strictly increasing, `mats[k]` is the coefficient of
     freqs[k]^(-z).  Construction canonicalizes: duplicates merge, zero rows
-    drop.
+    drop.  Both arrays are read-only, so the canonical form holds for the
+    series' lifetime; `terms()` hands out copies.
     """
 
     __slots__ = ("dim", "freqs", "mats")
@@ -106,7 +107,7 @@ class DirichletSeries:
         if not _all(np.isfinite(m)):
             raise ValidationError("coefficients must be finite")
         self.dim = d
-        self.freqs, self.mats = _canonical(f, m, d)
+        self.freqs, self.mats = _read_only(_canonical(f, m, d))
 
     @classmethod
     def from_terms(cls, terms: dict, dim: int | None = None) -> "DirichletSeries":
@@ -156,11 +157,18 @@ class DirichletSeries:
         return (-1.0) * self
 
 
+def _read_only(terms):
+    """The (freqs, mats) pair of a series, both marked read-only."""
+    for part in terms:
+        part.setflags(write=False)
+    return terms
+
+
 def _series(terms, dim: int) -> DirichletSeries:
     """Series from (freqs, mats) that are canonical already; nothing is checked."""
     out = DirichletSeries.__new__(DirichletSeries)
     out.dim = dim
-    out.freqs, out.mats = terms
+    out.freqs, out.mats = _read_only(terms)
     return out
 
 

@@ -16,7 +16,8 @@ family.  Two routes produce the beta_k:
   multilinear ones.  The Q nodes of one coefficient are formed as one
   block and the sample is called once per node; the weighted values are
   added node by node with one np.add.accumulate.  Samples read off a series
-  evaluate its compact columns, gathered once per sample.
+  evaluate it through `SeriesSpace.evaluator`, which gathers its
+  coefficients once per sample.
 
 The probe maximum over finitely many directions can only undershoot the true
 directional sup, and the stored majorants dominate the homogeneous sups they
@@ -74,8 +75,8 @@ class AnalyticSample:
             raise ValidationError(f"sup bound must be finite and nonnegative, got {self.sup_bound}")
         if self.majorants is not None:
             m = tuple(float(x) for x in self.majorants)
-            if any(x < 0 for x in m):
-                raise ValidationError("coefficient majorants must be nonnegative")
+            if not all(0 <= x < math.inf for x in m):  # false for NaN too
+                raise ValidationError(f"coefficient majorants must be finite and nonnegative, got {m}")
             object.__setattr__(self, "majorants", m)
 
     @property
@@ -102,12 +103,8 @@ def _block_sample(sp, cols: np.ndarray, center, radius: float, label: str) -> An
             sup += m * radius**k
     except OverflowError:
         sup = math.inf
-
-    def evaluator(point, _sp=sp, _compact=cols[:, sp.packed], _c=center):
-        return _sp.evaluate_compact(_compact, np.asarray(point) - _c)
-
     return AnalyticSample(
-        evaluator, center, radius, sup, majorants=tuple(majorants), label=label
+        sp.evaluator(cols, center), center, radius, sup, majorants=tuple(majorants), label=label
     )
 
 
@@ -285,7 +282,10 @@ def verify_bounded_series(
             best = 0.0
             for v in dirs:
                 coef = cauchy_directional_coefficient(smp, v, s, k, quadrature)
-                best = max(best, float(np.max(np.abs(coef))))
+                size = float(np.max(np.abs(coef)))
+                if not math.isfinite(size):  # max() would drop a NaN
+                    raise DomainError(f"probed coefficient of degree {k} is {size}")
+                best = max(best, size)
             betas[k] = max(betas[k], best * factor)
     lhs = 0.0
     for k in range(degree, -1, -1):  # small terms first

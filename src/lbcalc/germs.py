@@ -23,6 +23,12 @@ the radius-1/l ball into the radius-1/(n+2) ball where g1 is controlled.
 Inversion solves the chart equation in one pass over the degrees, forming
 each monomial of id + h once, and certifies both the vanishing residual and
 the 1/(6n) bound on the inverse's sup_norm at the output index 12n.
+
+The algebra at one anchor (chart composition, its derivative and the
+reversion) belongs to `lbcalc.series.SeriesSpace`, which owns the series
+layout.  This module keeps the germ semantics: anchors and index, the
+containment gates, the majorants, the certificates and JSON, and it loops
+over the anchors.
 """
 
 from __future__ import annotations
@@ -335,16 +341,6 @@ def _containment_gate(outer: Germ, inner: Germ):
         )
 
 
-def _argument_components(sp, cols: np.ndarray):
-    """Scalar series of the chart map id + g at one anchor."""
-    comps = []
-    for i in range(cols.shape[0]):
-        c = cols[i].copy()
-        c[sp.unit_packed[i]] += 1.0
-        comps.append(c)
-    return comps
-
-
 def compose(g1: Germ, g2: Germ) -> Germ:
     """Chart-level composition (g1 + id) o (g2 + id) - id, truncated.
 
@@ -355,10 +351,7 @@ def compose(g1: Germ, g2: Germ) -> Germ:
     _check_frames(g1, g2)
     _containment_gate(g1, g2)
     sp = space(g1.dim, g1.degree)
-    blocks = []
-    for cols1, cols2 in zip(g1.coeffs, g2.coeffs):
-        u = _argument_components(sp, cols2)
-        blocks.append(sp.substitute(cols1, u) + cols2)
+    blocks = [sp.chart_compose(a, b) for a, b in zip(g1.coeffs, g2.coeffs)]
     return Germ(g1.anchors, g2.index, blocks, g1.degree)
 
 
@@ -384,77 +377,8 @@ def compose_derivative(g1: Germ, g2: Germ, dg1: Germ, dg2: Germ) -> Germ:
         raise ValidationError("directions must carry the indices of their base germs")
     _containment_gate(g1, g2)
     sp = space(g1.dim, g1.degree)
-    d = g1.dim
-    blocks = []
-    for cols1, cols2, dc1, dc2 in zip(g1.coeffs, g2.coeffs, dg1.coeffs, dg2.coeffs):
-        u = _argument_components(sp, cols2)
-        term1 = sp.substitute(dc1, u)
-        jac = np.concatenate([sp.differentiate(cols1, j) for j in range(d)], axis=0)
-        # row layout: entry (j * d + i) is the partial of component i along x_j
-        jac_sub = sp.substitute(jac, u)
-        term2 = np.zeros_like(term1)
-        for j in range(d):  # term2[i] adds its products in j order, as a loop over i, j
-            term2 += sp.mul_rows(jac_sub[j * d:(j + 1) * d], dc2[j])
-        blocks.append(term1 + term2 + dc2)
+    blocks = [sp.chart_derivative(*cols) for cols in zip(g1.coeffs, g2.coeffs, dg1.coeffs, dg2.coeffs)]
     return Germ(g1.anchors, g2.index, blocks, g1.degree)
-
-
-def _chart_inverse(sp, cols: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """h with h + cols o (id + h) = 0 through the degree, m = I + linear part.
-
-    One pass over the degrees k = 1..D.  The rows of `mono` hold, in compact
-    columns, the monomials of u = id + h that the pass reads: the support of
-    `cols`, every monomial on their parent chains, and the d units, whose
-    rows are u itself.  With zero constant terms, every product that lands
-    at degree k reads only degrees below k of its two factors, and those are
-    final, so degree k of every monomial of degree >= 2 is one batched
-    product and bincount over the pairs of `sp.products_by_degree[k]`.  The
-    pairs left out of that table each add a product with a zero factor, so
-    every value equals the one that `substitute(cols, id + h)` computes.
-    Then t_k = sum over the support of c_a u^a, added in support order, and
-    (I + L) h_k = -t_k gives degree k of h.
-    """
-    d = cols.shape[0]
-    support = sp.support(cols)
-    need = np.zeros(sp.live, dtype=bool)
-    need[support] = True
-    need[sp.unit_compact] = True
-    for j in range(sp.degree, 1, -1):  # parents of degree j - 1, top down
-        block = slice(sp.starts[j], sp.starts[j + 1])
-        need[sp.parents[block][need[block]]] = True
-    ids = np.flatnonzero(need)
-    row = np.zeros(sp.live, dtype=np.intp)
-    row[ids] = np.arange(ids.size)
-    units = row[sp.unit_compact]
-    first = np.searchsorted(ids, sp.starts[2])  # rows of degree >= 2 follow
-    left = row[sp.parents[ids[first:]]]
-    right = units[sp.variables[ids[first:]]]
-    coef = cols[:, sp.packed[support], None]
-    mono = np.zeros((ids.size, sp.live), dtype=np.complex128)
-    mono[units, sp.unit_compact] = 1.0
-    h = sp.zeros(d)
-    for k in range(1, sp.degree + 1):
-        lo, hi = sp.starts[k], sp.starts[k + 1]
-        width = hi - lo
-        rows = np.searchsorted(ids, hi) - first  # monomials of degree 2..k
-        if k >= 2 and rows > 0:
-            lhs, rhs, out = sp.products_by_degree[k]
-            # parent times component, the operand order of `mul`: numpy's
-            # vectorised complex product can round a*b and b*a differently
-            prods = mono[left[:rows, None], lhs] * mono[right[:rows, None], rhs]
-            bins = (np.arange(rows)[:, None] * width + out).ravel()
-            block = mono[first:first + rows, lo:hi]
-            block.real = np.bincount(bins, prods.real.ravel(), rows * width).reshape(rows, width)
-            block.imag = np.bincount(bins, prods.imag.ravel(), rows * width).reshape(rows, width)
-        terms = np.zeros((d, support.size + 1, width), dtype=np.complex128)
-        np.multiply(coef, mono[row[support], lo:hi], out=terms[:, 1:])
-        t = np.add.accumulate(terms, axis=1)[:, -1]  # 0.0 + c_1 u^a_1 + c_2 u^a_2 + ...
-        idx = sp.by_degree[k]
-        h[:, idx] -= np.linalg.solve(m, t)
-        mono[units, lo:hi] = h[:, idx]
-        if k == 1:
-            mono[units, sp.unit_compact] += 1.0
-    return h
 
 
 def invert(g: Germ) -> Germ:
@@ -464,9 +388,9 @@ def invert(g: Germ) -> Germ:
     already guarantees a local diffeomorphism).  The inverse is returned at
     index 12 * g.index and solves the chart equation h + g o (id + h) = 0
     in one pass over the degrees, which forms each monomial of id + h once,
-    degree by degree (see `_chart_inverse`).  Two post-conditions are
-    certified before returning: the residual, recomputed by a full
-    `substitute`, vanishes through the truncation degree, and
+    degree by degree (see `SeriesSpace.chart_inverse`).  Two post-conditions
+    are certified before returning: the residual, recomputed by a full
+    chart composition, vanishes through the truncation degree, and
     sup_norm(result) <= 1 / (6 * g.index).
     """
     dn = d_norm(g)
@@ -475,17 +399,11 @@ def invert(g: Germ) -> Germ:
             f"inversion needs d_norm <= {INVERSION_D_BOUND}, got {dn}"
         )
     sp = space(g.dim, g.degree)
-    d = g.dim
     out_index = INVERSION_INDEX_FACTOR * g.index
-    eye = np.eye(d, dtype=np.complex128)
     blocks = []
     for cols in g.coeffs:
-        lin = np.empty((d, d), dtype=np.complex128)
-        for j in range(d):
-            lin[:, j] = cols[:, sp.unit_packed[j]]
-        h = _chart_inverse(sp, cols, eye + lin)
-        u = _argument_components(sp, h)
-        defect = sp.substitute(cols, u) + h
+        h = sp.chart_inverse(cols)
+        defect = sp.chart_compose(cols, h)
         worst = float(np.abs(defect).max())
         if worst > _RESIDUAL_TOL:
             raise InternalCheckError(
@@ -521,13 +439,7 @@ def derivative_bound(g: Germ, order: int) -> float:
     return 2.0 * math.factorial(order) * (4.0 * math.e / big_r) ** order * sup_norm(g)
 
 
-# -- evaluation and serialization ------------------------------------------
-
-
-def evaluate_germ(g: Germ, anchor: int, offset) -> np.ndarray:
-    """Value of the truncated series at anchor + offset."""
-    sp = space(g.dim, g.degree)
-    return sp.evaluate(g.coeffs[anchor], offset)
+# -- serialization ----------------------------------------------------------
 
 
 def germ_to_json(g: Germ) -> dict:

@@ -267,6 +267,7 @@ def verify_certificate(
     one element per step with norm uniform in [0, delta_j).  Reports the
     worst observed value, the margin to epsilon, and a verdict.  `samples`
     must be a positive integer: a verdict after zero draws claims nothing.
+    An output norm that is NaN is refused, since no comparison can see it.
     """
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
         raise ValidationError(f"samples must be a positive integer, got {samples!r}")
@@ -296,8 +297,10 @@ def verify_certificate(
             raise InternalCheckError(
                 f"sampled decomposition leaves the working ball of radius {r}"
             )
-        value = out_norm(f(scale.combine(terms)))
-        worst = max(worst, float(value))
+        value = float(out_norm(f(scale.combine(terms))))
+        if math.isnan(value):  # max() would keep the old worst and certify it
+            raise DomainError("the map's output norm is NaN on a sampled decomposition")
+        worst = max(worst, value)
     verdict = worst < cert.epsilon
     return {
         "max_observed": worst,

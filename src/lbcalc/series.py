@@ -15,16 +15,22 @@ holds.  `substitute` and `evaluate` build monomials along these parent
 chains.  The product table is also kept split by output degree, restricted
 to pairs whose two factors both have degree >= 1: with zero constant terms,
 degree k of a product reads only lower degrees of its factors, which is
-what lets `germs.invert` form every monomial one degree at a time.
+what lets `chart_inverse` form every monomial one degree at a time.
 
 `substitute` and `mul_rows` multiply by a sparse right factor over only
 the pairs of the table where it is nonzero, with the bits of `mul` (see
 `_pairs_onto`); the restricted tables are built per call.
-`evaluate_compact` reads coefficients in compact columns, so a caller that
-evaluates one series at many points gathers those columns once.
+`evaluate_compact` reads coefficients in compact columns, so `evaluator`
+gathers those columns once for a series evaluated at many points.
 
 Vector-valued series (coefficients in C^m) are stored as (m, size) arrays and
-reuse the scalar tables row by row.
+reuse the scalar tables row by row.  A vector series g in d variables with
+d components is also the chart id + g of a map near the origin; `chart`,
+`chart_compose`, `chart_derivative` and `chart_inverse` are the algebra of
+these charts that `lbcalc.germs` runs at each anchor.  The layout and its
+index tables are this module's own: other modules read only `size`, the
+`vanishing` slots that a germ checks and the `nonconstant` slots that a
+random germ draws from.
 """
 
 from __future__ import annotations
@@ -75,7 +81,7 @@ class SeriesSpace:
         self.size = self.base ** dim
 
         weights = self.base ** np.arange(dim, dtype=np.int64)
-        self._weights = weights
+        self.unit_packed = weights  # packed slot of each variable x_i
 
         # every multi-index of total <= degree, in (total, multi-index) order:
         # np.indices lists them lexicographically, so grouping by total is enough
@@ -94,7 +100,6 @@ class SeriesSpace:
 
         totals = np.full(self.size, -1, dtype=np.int64)
         totals[packed] = degrees
-        self.totals = totals
         self.vanishing = np.flatnonzero(totals <= 0)  # the constant slot and the unused ones
         self.nonconstant = np.flatnonzero(totals >= 1)
         compact = np.full(self.size, -1, dtype=np.intp)
@@ -107,7 +112,6 @@ class SeriesSpace:
         self._degree_pad = np.arange(widths[1:].max()) >= widths[1:, None]
         self._degree_table = np.zeros(self._degree_pad.shape, dtype=np.intp)
         self._degree_table[~self._degree_pad] = packed[1:]
-        self.unit_packed = tuple(int(w) for w in weights)
         self.unit_compact = compact[weights]
 
         # each slot of degree >= 1 is parents[c] times x_variables[c], where
@@ -143,7 +147,12 @@ class SeriesSpace:
             products.append((left, right, compact[packed[left] + packed[right]] - starts[k]))
         self.products_by_degree = tuple(products)
 
-        self._diff_tables: dict[int, tuple] = {}
+        # d/dx_j moves each slot that holds x_j to the slot with one x_j
+        # less, times its power of x_j: (source, target, factor) per j
+        self._derivatives = []
+        for j in range(dim):
+            holds = grid[:, j] > 0
+            self._derivatives.append((packed[holds], packed[holds] - weights[j], grid[holds, j] * 1.0))
 
     # -- packing ---------------------------------------------------------
 
@@ -155,15 +164,7 @@ class SeriesSpace:
             raise ValidationError(
                 f"multi-index {alpha!r} exceeds total degree {self.degree}"
             )
-        return int(np.dot(alpha, self._weights))
-
-    def alpha_of(self, packed: int) -> tuple:
-        out = []
-        rem = int(packed)
-        for _ in range(self.dim):
-            out.append(rem % self.base)
-            rem //= self.base
-        return tuple(out)
+        return int(np.dot(alpha, self.unit_packed))
 
     def degree_sums(self, norms: np.ndarray) -> np.ndarray:
         """Per-degree sums norms[..., by_degree[k]].sum() for k = 1..D.
@@ -257,27 +258,9 @@ class SeriesSpace:
         pairs = self._pairs_onto(b) if np.isfinite(rows).all() else self._mul_pairs
         return np.array([self._product(row, b, pairs) for row in rows])
 
-    def diff_table(self, j: int):
-        """Gather lists (src, dst, factor) for the partial derivative d/dx_j."""
-        tab = self._diff_tables.get(j)
-        if tab is None:
-            src, dst, fac = [], [], []
-            for a, p in zip(self.alphas, self.packed):
-                if a[j] > 0:
-                    src.append(p)
-                    dst.append(p - self.unit_packed[j])
-                    fac.append(a[j])
-            tab = (
-                np.array(src, dtype=np.int64),
-                np.array(dst, dtype=np.int64),
-                np.array(fac, dtype=np.float64),
-            )
-            self._diff_tables[j] = tab
-        return tab
-
     def differentiate(self, cols: np.ndarray, j: int) -> np.ndarray:
         """Partial derivative of a (m, size) vector series along variable j."""
-        src, dst, fac = self.diff_table(j)
+        src, dst, fac = self._derivatives[j]
         out = np.zeros_like(cols)
         out[..., dst] = cols[..., src] * fac
         return out
@@ -332,6 +315,19 @@ class SeriesSpace:
         """Value of a vector series at a concrete argument vector."""
         return self.evaluate_compact(np.atleast_2d(cols)[:, self.packed], point)
 
+    def evaluator(self, cols: np.ndarray, center):
+        """The map x -> value of the series `cols` at x - center.
+
+        The compact columns of `cols` are gathered once, when the map is
+        made, and every call evaluates them with `evaluate_compact`.
+        """
+        compact = cols[:, self.packed]
+
+        def at(point):
+            return self.evaluate_compact(compact, np.asarray(point) - center)
+
+        return at
+
     def evaluate_compact(self, compact: np.ndarray, point) -> np.ndarray:
         """Value at a point of a series given in compact columns, (m, live).
 
@@ -348,3 +344,92 @@ class SeriesSpace:
         for c, q, i in self._chain[1:]:
             vals[c] = vals[q] * x[i]
         return compact @ np.array(vals)
+
+    # -- charts ----------------------------------------------------------
+
+    def chart(self, cols: np.ndarray) -> np.ndarray:
+        """The scalar series of the chart id + cols, one row per variable."""
+        comps = np.array(cols, dtype=np.complex128)
+        comps[np.arange(self.dim), self.unit_packed] += 1.0
+        return comps
+
+    def chart_compose(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a o (id + b) + b, the chart of (id + a) o (id + b), truncated."""
+        return self.substitute(a, self.chart(b)) + b
+
+    def chart_derivative(self, a, b, da, db) -> np.ndarray:
+        """Derivative of chart_compose at (a, b) in the direction (da, db).
+
+        The three terms are da o (id + b), the Jacobian of a evaluated along
+        id + b applied to db, and db itself.
+        """
+        d = self.dim
+        u = self.chart(b)
+        term1 = self.substitute(da, u)
+        jac = np.concatenate([self.differentiate(a, j) for j in range(d)], axis=0)
+        # row layout: entry (j * d + i) is the partial of component i along x_j
+        jac_sub = self.substitute(jac, u)
+        term2 = np.zeros_like(term1)
+        for j in range(d):  # term2[i] adds its products in j order, as a loop over i, j
+            term2 += self.mul_rows(jac_sub[j * d:(j + 1) * d], db[j])
+        return term1 + term2 + db
+
+    def chart_inverse(self, cols: np.ndarray) -> np.ndarray:
+        """h with h + cols o (id + h) = 0 through the degree.
+
+        id + h is then the inverse of the chart id + cols.  One pass over the
+        degrees k = 1..D, with m = I + L and L the linear part of `cols`.
+        The rows of `mono` hold, in compact columns, the monomials of
+        u = id + h that the pass reads: the support of `cols`, every monomial
+        on their parent chains, and the d units, whose rows are u itself.
+        With zero constant terms, every product that lands at degree k reads
+        only degrees below k of its two factors, and those are final, so
+        degree k of every monomial of degree >= 2 is one batched product and
+        bincount over the pairs of `products_by_degree[k]`.  The pairs left
+        out of that table each add a product with a zero factor, so every
+        value equals the one that `substitute(cols, id + h)` computes.  Then
+        t_k = sum over the support of c_a u^a, added in support order, and
+        m h_k = -t_k gives degree k of h.
+        """
+        d = cols.shape[0]
+        m = np.eye(d, dtype=np.complex128) + cols[:, self.unit_packed]
+        support = self.support(cols)
+        need = np.zeros(self.live, dtype=bool)
+        need[support] = True
+        need[self.unit_compact] = True
+        for j in range(self.degree, 1, -1):  # parents of degree j - 1, top down
+            block = slice(self.starts[j], self.starts[j + 1])
+            need[self.parents[block][need[block]]] = True
+        ids = np.flatnonzero(need)
+        row = np.zeros(self.live, dtype=np.intp)
+        row[ids] = np.arange(ids.size)
+        units = row[self.unit_compact]
+        first = np.searchsorted(ids, self.starts[2])  # rows of degree >= 2 follow
+        left = row[self.parents[ids[first:]]]
+        right = units[self.variables[ids[first:]]]
+        coef = cols[:, self.packed[support], None]
+        mono = np.zeros((ids.size, self.live), dtype=np.complex128)
+        mono[units, self.unit_compact] = 1.0
+        h = self.zeros(d)
+        for k in range(1, self.degree + 1):
+            lo, hi = self.starts[k], self.starts[k + 1]
+            width = hi - lo
+            rows = np.searchsorted(ids, hi) - first  # monomials of degree 2..k
+            if k >= 2 and rows > 0:
+                lhs, rhs, out = self.products_by_degree[k]
+                # parent times component, the operand order of `mul`: numpy's
+                # vectorised complex product can round a*b and b*a differently
+                prods = mono[left[:rows, None], lhs] * mono[right[:rows, None], rhs]
+                bins = (np.arange(rows)[:, None] * width + out).ravel()
+                block = mono[first:first + rows, lo:hi]
+                block.real = np.bincount(bins, prods.real.ravel(), rows * width).reshape(rows, width)
+                block.imag = np.bincount(bins, prods.imag.ravel(), rows * width).reshape(rows, width)
+            terms = np.zeros((d, support.size + 1, width), dtype=np.complex128)
+            np.multiply(coef, mono[row[support], lo:hi], out=terms[:, 1:])
+            t = np.add.accumulate(terms, axis=1)[:, -1]  # 0.0 + c_1 u^a_1 + c_2 u^a_2 + ...
+            idx = self.by_degree[k]
+            h[:, idx] -= np.linalg.solve(m, t)
+            mono[units, lo:hi] = h[:, idx]
+            if k == 1:
+                mono[units, self.unit_compact] += 1.0
+        return h

@@ -55,12 +55,13 @@ def reference_substitute(sp, cols, components):
     out = np.zeros((cols.shape[0], sp.size), dtype=np.complex128)
     out[:, 0] = cols[:, 0]
     memo = {sp.unit_packed[i]: np.asarray(c, dtype=np.complex128) for i, c in enumerate(components)}
+    alpha_at = dict(zip(sp.packed.tolist(), sp.alphas))
 
     def monomial(p):
         got = memo.get(p)
         if got is not None:
             return got
-        alpha = sp.alpha_of(p)
+        alpha = alpha_at[p]
         i = next(k for k, a in enumerate(alpha) if a > 0)
         val = sp.mul(monomial(p - sp.unit_packed[i]), memo[sp.unit_packed[i]])
         memo[p] = val

@@ -2,12 +2,15 @@
 
 The run doubles as the integration test for `lbcalc suite`: parsing, seeding,
 report assembly and the exit code all sit on the same path the shell uses.
-One PASS/FAIL line per criterion is echoed into the terminal summary by the
-hook in conftest.
+One PASS/FAIL line per criterion, with its wall time, is echoed into the
+terminal summary by the hook in conftest.  The run also times each criterion,
+and two of them have a wall-time budget: 10 s for criterion 1 and 60 s for
+criterion 8.
 """
 
 import io
 import json
+import time
 
 import pytest
 from conftest import ACCEPTANCE_KEY
@@ -28,13 +31,37 @@ CRITERIA = [
 ]
 
 
+BUDGETS = {1: 10.0, 8: 60.0}  # criterion number -> wall-time budget in seconds
+
+
 @pytest.fixture(scope="session")
-def battery(request):
+def timed_battery(request):
+    """(exit code, report, seconds per criterion) of one `lbcalc suite --seed 0` run."""
+    seconds = []
+
+    def timed(criterion):
+        def run(seed):
+            start = time.perf_counter()
+            result = criterion(seed)
+            seconds.append(time.perf_counter() - start)
+            return result
+
+        return run
+
     buf = io.StringIO()
-    code = cli.execute(cli.parse(["suite", "--seed", "0"]), out=buf)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(acceptance, "CRITERIA", tuple(map(timed, acceptance.CRITERIA)))
+        code = cli.execute(cli.parse(["suite", "--seed", "0"]), out=buf)
     report = json.loads(buf.getvalue())
-    request.config.stash[ACCEPTANCE_KEY] = report["lines"]
-    return code, report
+    request.config.stash[ACCEPTANCE_KEY] = [
+        f"{line} ({t:.2f} s)" for line, t in zip(report["lines"], seconds)
+    ]
+    return code, report, seconds
+
+
+@pytest.fixture(scope="session")
+def battery(timed_battery):
+    return timed_battery[:2]
 
 
 def test_suite_exit_code_tracks_the_verdicts(battery):
@@ -55,8 +82,21 @@ def test_criterion_passes(battery, number):
     _, report = battery
     entry = report["criteria"][number - 1]
     assert entry["passed"], report["lines"][number - 1]
-    assert entry["runtime"] >= 0.0
     assert entry["detail"]
+
+
+def test_criteria_keep_their_time_budgets(timed_battery):
+    _, report, seconds = timed_battery
+    assert len(seconds) == 10
+    for number, budget in BUDGETS.items():
+        assert seconds[number - 1] < budget, report["lines"][number - 1]
+
+
+def test_reports_carry_no_wall_times(battery):
+    _, report = battery
+    for entry, line in zip(report["criteria"], report["lines"]):
+        assert set(entry) == {"number", "name", "passed", "detail"}
+        assert line.endswith(entry["detail"])
 
 
 def test_report_lines_are_printable_one_per_criterion(battery):

@@ -93,7 +93,7 @@ def test_matrix_square_sup_bound_is_a_theorem():
 
 def test_certificates_reuse_the_case_parameters():
     case = catalog.get_map("matrix3-sandwich")
-    cert = case.certificate()
+    cert = case.bundle()[3]
     assert cert.r == case.r
     assert cert.epsilon == case.epsilon
     assert len(cert) == 3
@@ -110,7 +110,7 @@ def test_bundle_runs_setup_once(name):
 
     _, _, _, cert = replace(case, setup=counted).bundle()
     assert len(calls) == 1
-    assert cert.to_json() == case.certificate().to_json()
+    assert cert.to_json() == case.bundle()[3].to_json()
 
 
 @pytest.mark.parametrize("name", ["matrix2-commutator", "dirichlet-ad", "germ-square"])

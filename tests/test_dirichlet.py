@@ -459,3 +459,19 @@ def test_bch_series_matches_its_own_plan_walk(pool, order):
         want = reference_bch_series(g1, g2, order)
         assert _same_bits(got.freqs, want.freqs)
         assert _same_bits(got.mats, want.mats)
+
+
+def test_series_arrays_are_read_only():
+    rng = generator(7)
+    g1 = random_series(rng, 2, (2, 3, 5), 3)
+    g2 = random_series(rng, 2, (2, 3, 5), 3)
+    built = [g1, DirichletSeries(g1.freqs, g1.mats), 2.0 * g1, g1 + g2, bracket(g1, g2), embed(np.eye(2))]
+    for g in built:
+        assert g.support
+        with pytest.raises(ValueError):
+            g.mats[0] = 0.0
+        with pytest.raises(ValueError):
+            g.freqs[0] = 1
+    before = g1.mats.copy()
+    g1.terms()[int(g1.freqs[0])][0, 0] = 9.0  # terms() hands out copies
+    assert _same_bits(g1.mats, before)

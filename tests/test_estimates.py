@@ -289,3 +289,18 @@ def test_sample_validation():
         AnalyticSample(lambda p: p, np.zeros(1), 1.0, -0.5)
     with pytest.raises(ValidationError):
         AnalyticSample(lambda p: p, np.zeros(1), 1.0, 1.0, majorants=(-0.1,))
+
+
+def test_a_nan_probed_coefficient_is_refused():
+    # max(best, nan) keeps best, so a NaN evaluator probed to beta_k = 0
+    sample = AnalyticSample(lambda p: np.array([np.nan]), np.zeros(1), 1.0, 1.0)
+    with pytest.raises(DomainError, match="nan"):
+        verify_bounded_series([sample], 0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_nan_majorant_is_refused(bad):
+    # nan < 0 is false, so a NaN majorant passed the sign check; an infinite
+    # one stopped the exact verdict with an OverflowError
+    with pytest.raises(ValidationError, match=str(bad)):
+        AnalyticSample(lambda p: p, np.zeros(1), 1.0, 1.0, majorants=(0.0, bad))

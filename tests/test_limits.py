@@ -510,3 +510,12 @@ def test_germ_combine_matches_a_left_fold():
         assert got.index == folded.index
         for a, b in zip(got.coeffs, folded.coeffs):
             assert a.tobytes() == b.tobytes()
+
+
+def test_a_nan_output_norm_is_never_certified():
+    # max(worst, nan) keeps worst, so a map whose outputs are all NaN read as 0.0
+    cert = build_certificate([1.0], 1.0, 0.1, 0.2)
+    with pytest.raises(DomainError, match="NaN"):
+        verify_certificate(
+            lambda x: x * np.nan if x.any() else x, compatible_norm, cert, MatrixSteps(2), samples=50
+        )

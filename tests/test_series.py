@@ -6,6 +6,9 @@ exact in floating point.  The index tables, `substitute` and `evaluate` are
 also checked bit for bit against the loops they replaced (`loop_references`).
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from loop_references import (
     same_bits,
 )
 
+import lbcalc
 from lbcalc.errors import ValidationError
 from lbcalc.series import SeriesSpace, space
 
@@ -32,8 +36,10 @@ def _poly_1d(sp, coeffs):
 
 def test_pack_and_alpha_roundtrip():
     sp = space(3, 4)
-    for alpha in sp.alphas:
-        assert sp.alpha_of(sp.pack(alpha)) == alpha
+    assert [sp.pack(alpha) for alpha in sp.alphas] == sp.packed.tolist()
+    for alpha, p in zip(sp.alphas, sp.packed.tolist()):
+        assert list(sp.to_terms(sp.from_terms({alpha: [1.0]}, 1))) == [alpha]
+        assert alpha == tuple(p // (sp.degree + 1) ** i % (sp.degree + 1) for i in range(3))
 
 
 def test_pack_rejects_out_of_range_indices():
@@ -203,7 +209,8 @@ def test_product_matches_an_unbuffered_scatter():
     rng = np.random.default_rng(4)
     for dim, degree in [(1, 8), (2, 6), (3, 4)]:
         sp = space(dim, degree)
-        live = sp.totals >= 0
+        live = np.zeros(sp.size, dtype=bool)
+        live[sp.packed] = True
         a, b = sp.zeros(), sp.zeros()
         a[live] = rng.standard_normal(live.sum()) * 10.0 ** rng.integers(-6, 7, live.sum())
         b[live] = rng.standard_normal(live.sum()) + 1j * rng.standard_normal(live.sum())
@@ -369,3 +376,31 @@ def test_the_space_cache_is_bounded():
         space(1, degree)
     assert space.cache_info().currsize == bound
     assert space(1, bound + 5) is space(1, bound + 5)
+
+
+# -- the layout stays behind this module ---------------------------------------------
+
+# index tables and compact-column entry points that only `lbcalc.series` reads
+LAYOUT = {
+    "packed", "compact", "live", "starts", "parents", "variables", "unit_packed",
+    "unit_compact", "products_by_degree", "by_degree", "alphas", "totals", "_chain",
+    "evaluate_compact",
+}
+# the reads of a space that other modules keep, besides `size`: the slot check
+# of the Germ constructor and the draw pool of random_germ
+ALLOWED = {"vanishing": {"germs.py"}, "nonconstant": {"sampling.py"}}
+
+
+def test_only_series_reads_the_layout():
+    found, allowed = [], {name: set() for name in ALLOWED}
+    for path in sorted(Path(lbcalc.__file__).parent.glob("*.py")):
+        if path.name == "series.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                if node.attr in LAYOUT:
+                    found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+                elif node.attr in ALLOWED:
+                    allowed[node.attr].add(path.name)
+    assert found == []
+    assert allowed == ALLOWED
