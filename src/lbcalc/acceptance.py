@@ -40,7 +40,7 @@ from .germs import (
     sup_norm,
 )
 from .limits import dirichlet_regularity_modulus, check_dirichlet_regularity, verify_certificate
-from .matrices import bch, compatible_norm, mat_exp, mat_log, one_norm
+from .matrices import bch, mat_exp, mat_log, one_norm
 from .sampling import generator, random_germ, random_matrix, random_series, spawn
 
 

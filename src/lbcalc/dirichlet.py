@@ -48,7 +48,9 @@ def _all(mask: np.ndarray) -> bool:
 def _canonical(freqs: np.ndarray, mats: np.ndarray, dim: int):
     """Sort by frequency, merge duplicates, drop exact-zero coefficients.
 
-    Each merged coefficient is 0.0 plus its inputs, added in input order.
+    Each merged coefficient is 0.0 plus its inputs, added in input order: one
+    `np.bincount` over the float64 parts, bin = group * 2 dim^2 + part, which
+    adds like an unbuffered `np.add.at` of the complex rows.
     Input that is already strictly increasing has nothing to merge; adding
     0.0 to it gives the same bits (it only turns -0.0 into 0.0) and copies.
     """
@@ -67,8 +69,11 @@ def _canonical(freqs: np.ndarray, mats: np.ndarray, dim: int):
         uniq = ordered[first]
         inverse = np.empty(n, dtype=np.intp)
         inverse[order] = uniq.searchsorted(ordered)
-        merged = np.zeros((uniq.size, dim, dim), dtype=np.complex128)
-        np.add.at(merged, inverse, mats)  # unbuffered, in input order
+        width = 2 * dim * dim  # float64 components per coefficient
+        bins = (inverse[:, None] * width + np.arange(width)).ravel()
+        parts = np.ascontiguousarray(mats).view(np.float64).ravel()
+        merged = np.bincount(bins, parts, uniq.size * width).view(np.complex128)
+        merged = merged.reshape(-1, dim, dim)
     if _all(merged):
         return uniq, merged  # no zero entry, so no zero row to drop
     keep = merged.any(axis=(1, 2))

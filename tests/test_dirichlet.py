@@ -383,6 +383,28 @@ def test_canonical_form_matches_the_inverse_scatter_reference(dim):
         got = _canonical(freqs, mats, dim)
         want = reference_canonical(freqs, mats, dim)
         assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+    # strided coefficients, straight and through the constructor
+    freqs = np.concatenate([rng.integers(1, 9, size=20), [3, 3]])
+    mats = _wild_mats(rng, 2 * freqs.size, dim)[::2, ::-1, ::-1]  # every other term, reversed
+    assert not mats.flags.c_contiguous
+    want = reference_canonical(freqs, mats, dim)
+    built = DirichletSeries(freqs, mats, dim=dim)
+    for got in (_canonical(freqs, mats, dim), (built.freqs, built.mats)):
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+    # 2,000 terms on 300 frequencies
+    freqs = rng.integers(1, 301, size=2000)
+    mats = _wild_mats(rng, freqs.size, dim)
+    got, want = _canonical(freqs, mats, dim), reference_canonical(freqs, mats, dim)
+    assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+    # inf + -inf: the NaN lands in the same slot with the same bits
+    freqs = np.array([4, 2, 4, 4])
+    mats = np.ones((4, dim, dim), dtype=complex)
+    mats[0, 0, 0], mats[2, 0, 0] = np.inf, -np.inf
+    with np.errstate(invalid="ignore"):
+        want = reference_canonical(freqs, mats, dim)
+    got = _canonical(freqs, mats, dim)
+    assert np.isnan(got[1][1, 0, 0].real)
+    assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
 
 
 def test_scalar_multiples_match_building_the_scaled_terms():
@@ -449,7 +471,11 @@ def test_random_series_matches_build_then_rescale(s, target):
     assert rng_fast.random() == rng_ref.random()
 
 
-@pytest.mark.parametrize("pool, order", [((2, 3, 5), 8), ((2, 3, 5, 7, 11, 13), 8), ((1, 2, 3), 12)])
+@pytest.mark.parametrize(
+    "pool, order",
+    [((2, 3, 5), 8), ((2, 3, 5, 7, 11, 13), 8), ((1, 2, 3), 12),
+     ((2, 3, 5), 4), ((2, 3, 5), 6), ((2, 3, 5), 9), ((1, 2, 3, 4), 10)],
+)
 def test_bch_series_matches_its_own_plan_walk(pool, order):
     rng = generator(31)
     for _ in range(3):

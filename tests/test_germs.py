@@ -23,7 +23,7 @@ from loop_references import (
 
 from lbcalc import catalog, germs
 from lbcalc.acceptance import lagrange_reversion
-from lbcalc.errors import DomainError, InternalCheckError, ValidationError
+from lbcalc.errors import DomainError, ValidationError
 from lbcalc.germs import (
     AnchorSet,
     Germ,

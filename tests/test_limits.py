@@ -12,7 +12,6 @@ from lbcalc.errors import DomainError, InternalCheckError, ValidationError
 from lbcalc.germs import AnchorSet, Germ, norms_at_index
 from lbcalc.limits import (
     GERM_CONSTANT,
-    ContinuityCertificate,
     DirichletSteps,
     GermSteps,
     MatrixSteps,

@@ -256,24 +256,37 @@ def test_plan_respects_shared_prefixes():
             assert isinstance(weight, float)
 
 
+# nodes the walk keeps per order: the weighted ones and their ancestors
+KEPT = [2, 3, 5, 6, 14, 19, 41, 58, 126, 180, 407, 588]
+
+
 def test_degree_tables_regroup_the_plan_exactly():
     for order in range(1, engine.MAX_ORDER + 1):
+        plan = engine.evaluation_plan(order)
         tables = engine.degree_tables(order)
         assert len(tables) == order
-        rebuilt, below = [], None  # below: the plan indices of the degree below
+        kept, below = [], None  # below: the plan indices of the kept nodes of the degree below
         for parents, letters, positions, weights in tables:
             assert (parents is None) == (below is None)
             if below is not None:
                 assert 0 <= parents.min() and parents.max() < len(below)
             assert np.all(np.diff(positions) > 0) and np.all(weights != 0.0)
-            node_weights = np.zeros(letters.size)
-            node_weights[positions] = weights
-            start = len(rebuilt)
+            # each kept node back to its plan index: [parent, letter] names one node
+            here = []
             for j in range(letters.size):
                 parent = None if below is None else below[parents[j]]
-                rebuilt.append((parent, int(letters[j]), float(node_weights[j])))
-            below = range(start, len(rebuilt))
-        assert rebuilt == list(engine.evaluation_plan(order))
+                (node,) = [n for n, (p, a, _) in enumerate(plan) if (p, a) == (parent, int(letters[j]))]
+                here.append(node)
+            assert here == sorted(set(here))
+            node_weights = np.zeros(letters.size)
+            node_weights[positions] = weights
+            assert node_weights.tolist() == [plan[n][2] for n in here]
+            kept += here
+            below = here
+        read = {plan[n][0] for n in kept}
+        assert {n for n, (_, _, w) in enumerate(plan) if w} <= set(kept)
+        assert all(plan[n][2] or n in read for n in kept)
+        assert len(kept) == KEPT[order - 1] <= len(plan)
 
 
 def test_checked_order_accepts_the_documented_range():
