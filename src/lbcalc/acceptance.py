@@ -210,7 +210,7 @@ def criterion_germ_inversion(seed: int = 0) -> CriterionResult:
     """10^3 germs, dims 1-3: residual below 1e-10, sup bound 1/(6n), oracle match."""
     rngs = spawn(seed, 4)
     worst_res = 0.0
-    worst_sup_excess = 0.0
+    least_slack = math.inf  # the least 1/(6n) - sup_norm(h)
     counts = {1: 500, 2: 300, 3: 200}
     for dim, count in counts.items():
         rng = rngs[dim - 1]
@@ -225,7 +225,7 @@ def criterion_germ_inversion(seed: int = 0) -> CriterionResult:
             worst_res = max(
                 worst_res, max(float(np.abs(c).max()) for c in defect.coeffs)
             )
-            worst_sup_excess = max(worst_sup_excess, sup_norm(h) - 1.0 / (6 * n))
+            least_slack = min(least_slack, 1.0 / (6 * n) - sup_norm(h))
 
     # dim-1 cross-check against exact rational Lagrange reversion
     rng = rngs[3]
@@ -246,10 +246,10 @@ def criterion_germ_inversion(seed: int = 0) -> CriterionResult:
             want = float(oracle[k - 1]) - (1.0 if k == 1 else 0.0)
             have = complex(got.get((k,), np.zeros(1))[0]).real
             worst_oracle = max(worst_oracle, abs(have - want))
-    passed = worst_res <= 1e-10 and worst_sup_excess <= 0.0 and worst_oracle <= 1e-12
+    passed = worst_res <= 1e-10 and least_slack >= 0.0 and worst_oracle <= 1e-12
     return _result(
         5, "germ-inversion", passed,
-        f"max residual coeff {worst_res:.3g}, sup slack {max(0.0, -worst_sup_excess):.3g}, "
+        f"max residual coeff {worst_res:.3g}, sup slack {least_slack:.3g}, "
         f"oracle gap {worst_oracle:.3g}",
     )
 

@@ -33,7 +33,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,8 +49,9 @@ from .dirichlet import (
     series_to_json,
 )
 from .errors import ConfigurationError, DomainError, UsageError, ValidationError
-from .estimates import sample_from_polynomial, verify_bounded_series
+from .estimates import DEFAULT_QUADRATURE, sample_from_polynomial, verify_bounded_series
 from .germs import (
+    DEFAULT_DEGREE,
     compose,
     d_norm,
     derivative_bound,
@@ -62,6 +63,7 @@ from .germs import (
 )
 from .jsonio import fields, integer, items, number, numbers, pairs
 from .limits import (
+    DEFAULT_SAMPLES,
     build_certificate,
     certificate_from_json,
     check_dirichlet_regularity,
@@ -120,8 +122,8 @@ def _build_parser() -> _Parser:
     p = verb("estimate-verify", paths=1)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--s", type=float, default=None)
-    p.add_argument("--degree", type=int, default=8)
-    p.add_argument("--quadrature", type=int, default=256)
+    p.add_argument("--degree", type=int, default=DEFAULT_DEGREE)
+    p.add_argument("--quadrature", type=int, default=DEFAULT_QUADRATURE)
     p.add_argument("--probe", action="store_true")
 
     p = verb("limit-certify", paths=1)
@@ -131,7 +133,7 @@ def _build_parser() -> _Parser:
 
     p = verb("limit-verify")
     p.add_argument("--map", dest="map_name", required=True)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
 
     p = verb("modulus-dirichlet")
     p.add_argument("--s", type=int, required=True)
@@ -316,7 +318,7 @@ def _family_from_json(obj, degree: int, probe: bool):
             terms, center, radius, degree=degree, label=entry.get("label", f"member-{k}")
         )
         if probe:
-            sample = catalog._strip_majorants(sample)
+            sample = replace(sample, majorants=None)
         members.append(sample)
     return members
 

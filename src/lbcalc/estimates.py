@@ -37,11 +37,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ValidationError
+from .germs import DEFAULT_DEGREE
+from .jsonio import integer
 from .sampling import generator
 from .series import space
 
 DEFAULT_QUADRATURE = 256
-DEFAULT_DEGREE = 8
 _PROBE_SHRINK = 1e-6  # probe circle sits at s = R(1 - this) by default
 # e lies strictly between these: the tail of sum 1/j! after j = 20 is
 # positive and below 1/(20 * 20!)
@@ -147,8 +148,7 @@ def cauchy_directional_coefficient(
         raise DomainError(
             f"probe radius {s} must lie strictly inside the sample radius {sample.radius}"
         )
-    if quadrature < 4:
-        raise ValidationError(f"quadrature size {quadrature} is too small")
+    integer(quadrature, "quadrature size", 4)
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     if v.size != sample.dim:
         raise ValidationError(f"direction has dimension {v.size}, expected {sample.dim}")
@@ -250,8 +250,12 @@ def verify_bounded_series(
     coefficients times the polarization factor.  Truncation at `degree` only
     lowers the left side, so it never flips a sound verdict to a false one.
     The verdict compares the two sides exactly (see `_bound_holds`); the
-    reported lhs and rhs are their float values.
+    reported lhs and rhs are their float values.  `degree` is at least 1,
+    since a bound with no terms on its left side certifies nothing, and
+    `quadrature` at least 4.
     """
+    integer(degree, "truncation degree", 1)
+    integer(quadrature, "quadrature size", 4)
     samples = list(family)
     if not samples:
         raise ValidationError("the family must contain at least one sample")

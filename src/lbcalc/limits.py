@@ -23,19 +23,19 @@ explicit cutoffs and radii.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate
 
 import numpy as np
 
 from .dirichlet import DirichletSeries, norm_s, ordered_sum, sum_series, term_norms, zero_series
 from .errors import DomainError, InternalCheckError, ValidationError
-from .germs import AnchorSet, Germ, degree_majorants, norms_at_index, sum_germs, zero_germ
+from .germs import DEFAULT_DEGREE, AnchorSet, Germ, degree_majorants, norms_at_index, sum_germs, zero_germ
 from .jsonio import fields, integer, numbers
 from .matrices import compatible_norm
-from .sampling import _frequency_pool, random_germ, random_matrix, random_series
+from .sampling import frequency_pool, generator, random_germ, random_matrix, random_series
 
+DEFAULT_SAMPLES = 1000
 GERM_CONSTANT = 3.0 / (3.0 - math.e)  # the overhead R/(R - 2er) at r/R = 1/6
 _DRAW_SHAVE = 1.0 - 1e-12  # keeps rescaled draws strictly under their radius
 
@@ -74,7 +74,7 @@ class DirichletSteps:
 
     def __init__(self, dim: int, freq_pool=(1, 2, 3, 4, 5, 6, 7, 8), terms: int = 3):
         self.dim = integer(dim, "series dimension", 1)
-        self.freq_pool = pool = _frequency_pool(sorted(set(freq_pool)))  # sorted and checked once
+        self.freq_pool = pool = frequency_pool(sorted(set(freq_pool)))  # sorted and checked once
         self.terms = integer(terms, "terms", 1)
         if terms > pool.size:
             raise ValidationError(f"cannot draw {terms} distinct frequencies from {pool.size}")
@@ -99,7 +99,7 @@ class GermSteps:
 
     kind = "germ"
 
-    def __init__(self, anchors: AnchorSet, degree: int = 8, terms: int = 6):
+    def __init__(self, anchors: AnchorSet, degree: int = DEFAULT_DEGREE, terms: int = 6):
         self.anchors = anchors
         self.degree = integer(degree, "truncation degree", 1)
         self.terms = integer(terms, "terms", 1)
@@ -178,11 +178,13 @@ class ContinuityCertificate:
 
 
 def certificate_from_json(obj) -> ContinuityCertificate:
-    """Load a certificate as stored, without re-deriving the radii.
+    """Load a certificate, re-deriving its radii from its R, r, epsilon and step sups.
 
-    Only structure and the fit of delta are checked: each delta is positive
-    and their running sums stay below r.  A delta inflated within that room
-    loads fine and is then caught by sampling, not by parsing.
+    `build_certificate` derives a, b and delta again.  A stored delta above
+    the derived one is refused; a positive one at or below it is kept, since
+    a smaller neighborhood keeps the bound, and its running sums stay below
+    those of the derived delta, which stay below r.  The stored a and b are
+    replaced by the derived ones.
     """
     obj = fields(obj, "certificate JSON", ("R", "r", "epsilon", "step_sups", "a", "b", "delta"))
     radius, r, epsilon = numbers([obj["R"], obj["r"], obj["epsilon"]], "R, r and epsilon")
@@ -192,24 +194,22 @@ def certificate_from_json(obj) -> ContinuityCertificate:
         raise ValidationError("certificate lists must share one length")
     if any(v <= 0 for v in lists["delta"]):
         raise ValidationError("all delta radii must be positive")
-    if not all(total < r for total in accumulate(lists["delta"])):
-        raise ValidationError(f"the running sums of delta reach r = {r}")
-    return ContinuityCertificate(
-        radius=radius,
-        r=r,
-        epsilon=epsilon,
-        step_sups=tuple(lists["step_sups"]),
-        a=tuple(lists["a"]),
-        b=tuple(lists["b"]),
-        delta=tuple(lists["delta"]),
-    )
+    derived = build_certificate(lists["step_sups"], radius, r, epsilon)
+    for n, (stored, bound) in enumerate(zip(lists["delta"], derived.delta), start=1):
+        if stored > bound:
+            raise ValidationError(
+                f"delta_{n} = {stored} exceeds {bound}, the radius that R, r, epsilon "
+                f"and the step sups give"
+            )
+    return replace(derived, delta=tuple(lists["delta"]))
 
 
 def build_certificate(step_sups, radius: float, r: float, epsilon: float) -> ContinuityCertificate:
     """Certificate radii from per-step sup bounds, by the explicit formulas.
 
     A delta that underflows to 0 is refused: it certifies nothing, and
-    `certificate_from_json` would refuse the certificate.
+    `certificate_from_json` would refuse the certificate.  So is a step past
+    1023, whose 2^j lies beyond the float range.
     """
     try:
         sups = [float(s) for s in step_sups]
@@ -217,6 +217,8 @@ def build_certificate(step_sups, radius: float, r: float, epsilon: float) -> Con
         raise ValidationError(f"step sups must be a list of numbers: {exc}") from exc
     if not sups:
         raise ValidationError("at least one step sup is required")
+    if len(sups) > 1023:
+        raise DomainError(f"{len(sups)} steps; at most 1023 are supported, as 2^j must be a float")
     if any(not (s > 0 and math.isfinite(s)) for s in sups):
         raise ValidationError("step sups must be positive and finite")
     if not (epsilon > 0 and math.isfinite(epsilon)):
@@ -228,10 +230,9 @@ def build_certificate(step_sups, radius: float, r: float, epsilon: float) -> Con
     a = [r / 2.0**j for j in range(1, len(sups) + 1)]
     b = [min(1.0, epsilon / (2.0**n * sups[n - 1])) for n in range(1, len(sups) + 1)]
     delta = [aj * bj for aj, bj in zip(a, b)]
-    if not all(dj > 0 for dj in delta):
-        raise DomainError(
-            f"a delta radius underflows to 0 (delta = {delta}); raise epsilon or lower the step sups"
-        )
+    for n, dj in enumerate(delta, start=1):
+        if not dj > 0:
+            raise DomainError(f"delta_{n} underflows to 0; raise epsilon or lower the step sups")
     for aj, dj in zip(a, delta):
         if dj > aj:
             raise InternalCheckError(f"delta {dj} exceeds its ceiling a = {aj}")
@@ -256,7 +257,7 @@ def verify_certificate(
     out_norm,
     cert: ContinuityCertificate,
     scale,
-    samples: int = 1000,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> dict:
     """Sample random decompositions in V(delta) and bound ||f|| empirically.
@@ -271,7 +272,7 @@ def verify_certificate(
     """
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
         raise ValidationError(f"samples must be a positive integer, got {samples!r}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = generator(seed)
     zero_val = out_norm(f(scale.zero()))
     if zero_val != 0.0:
         raise DomainError(

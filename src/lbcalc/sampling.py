@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dirichlet import DirichletSeries, _all, weighted_norm
+from .dirichlet import DirichletSeries, weighted_norm
 from .errors import ValidationError
-from .germs import AnchorSet, Germ, block_majorants
+from .germs import DEFAULT_DEGREE, AnchorSet, Germ, block_majorants
 from .jsonio import integer
 from .matrices import compatible_norm
 from .series import space
@@ -48,11 +48,11 @@ def _factor(target: float, current: float) -> float:
     return target / current
 
 
-def _frequency_pool(freq_pool) -> np.ndarray:
+def frequency_pool(freq_pool) -> np.ndarray:
     """The pool as an int64 vector, after checking it is strictly increasing in [1, 2^63)."""
     pool = np.asarray(freq_pool)
     if not (pool.ndim == 1 and pool.size and pool.dtype.kind in "iu" and 1 <= pool[0]
-            and pool[-1] < 2**63 and _all(pool[1:] > pool[:-1])):
+            and pool[-1] < 2**63 and not np.count_nonzero(pool[1:] <= pool[:-1])):
         raise ValidationError(
             f"a frequency pool lists integers in [1, 2^63) in increasing order, got {freq_pool!r}"
         )
@@ -82,7 +82,7 @@ def random_series(
     `DirichletSteps` keeps it.  With a target, the norm is taken on the raw
     draw and the raw coefficients are rescaled, so the series is built once.
     """
-    pool = _frequency_pool(freq_pool)
+    pool = frequency_pool(freq_pool)
     integer(dim, "series dimension", 1)
     if integer(terms, "terms", 1) > pool.size:
         raise ValidationError(f"cannot draw {terms} distinct frequencies from {pool.size}")
@@ -98,7 +98,7 @@ def random_germ(
     rng: np.random.Generator,
     anchors: AnchorSet,
     index: int,
-    degree: int = 8,
+    degree: int = DEFAULT_DEGREE,
     terms: int = 12,
     d_target: float | None = None,
     sup_target: float | None = None,

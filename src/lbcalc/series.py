@@ -11,8 +11,8 @@ The C(D+d, d) live slots, in the order of `alphas` (by total degree, then by
 multi-index), also number the columns of a compact layout.  In compact
 columns each degree is one contiguous block, and every slot of degree >= 1
 is its parent slot times one variable, the first variable that the slot
-holds.  `substitute` and `evaluate` build monomials along these parent
-chains.  The product table is also kept split by output degree, restricted
+holds.  `substitute` and `evaluate_compact` build monomials along these
+parent chains.  The product table is also cut by output degree, restricted
 to pairs whose two factors both have degree >= 1: with zero constant terms,
 degree k of a product reads only lower degrees of its factors, which is
 what lets `chart_inverse` form every monomial one degree at a time.
@@ -77,15 +77,15 @@ class SeriesSpace:
             )
         self.dim = dim
         self.degree = degree
-        self.base = degree + 1
-        self.size = self.base ** dim
+        base = degree + 1
+        self.size = base ** dim
 
-        weights = self.base ** np.arange(dim, dtype=np.int64)
+        weights = base ** np.arange(dim, dtype=np.int64)
         self.unit_packed = weights  # packed slot of each variable x_i
 
         # every multi-index of total <= degree, in (total, multi-index) order:
         # np.indices lists them lexicographically, so grouping by total is enough
-        grid = np.indices((self.base,) * dim).reshape(dim, -1).T
+        grid = np.indices((base,) * dim).reshape(dim, -1).T
         sums = grid.sum(axis=1)
         grid = np.concatenate([grid[sums == k] for k in range(degree + 1)])
         degrees = grid.sum(axis=1)
@@ -102,11 +102,9 @@ class SeriesSpace:
         totals[packed] = degrees
         self.vanishing = np.flatnonzero(totals <= 0)  # the constant slot and the unused ones
         self.nonconstant = np.flatnonzero(totals >= 1)
-        compact = np.full(self.size, -1, dtype=np.intp)
+        compact = np.full(self.size, -1, dtype=np.intp)  # compact column of each packed slot
         compact[packed] = np.arange(live)
-        self.compact = compact
 
-        self.by_degree = {k: packed[starts[k]:starts[k + 1]] for k in range(degree + 1)}
         widths = np.diff(starts)  # slots per degree
         # slots of degrees 1..D, one row each, padded past the row's width
         self._degree_pad = np.arange(widths[1:].max()) >= widths[1:, None]
@@ -129,22 +127,20 @@ class SeriesSpace:
         # Since alphas are sorted by total, the right factors that fit beside
         # a left factor of total t are the first starts[degree - t + 1].
         fits = starts[degree - degrees + 1]
-        self._mul_lhs = packed[np.repeat(np.arange(live), fits)]
-        self._mul_rhs = packed[_runs(np.zeros_like(fits), fits)]
-        self._mul_out = self._mul_lhs + self._mul_rhs
-        self._mul_pairs = (self._mul_lhs, self._mul_rhs, self._mul_out)
+        left = np.repeat(np.arange(live), fits)
+        right = _runs(np.zeros_like(fits), fits)
+        self._mul_pairs = (packed[left], packed[right], packed[left] + packed[right])
 
         # the same pairs restricted to factors of degree >= 1 and split by
-        # output degree k, in table order: each left factor of total t in
-        # 1..k-1 meets the block of right factors of total k - t.  Entries
-        # are (left, right, output - starts[k]) in compact columns.
+        # output degree k, in table order, as (left, right, output - starts[k])
+        # in compact columns
+        inner = (degrees[left] >= 1) & (degrees[right] >= 1)
+        left, right = left[inner], right[inner]
+        out = compact[packed[left] + packed[right]]
         products = []
         for k in range(degree + 1):
-            lefts = np.arange(starts[1], starts[k])
-            rest = k - degrees[lefts]
-            left = np.repeat(lefts, widths[rest])
-            right = _runs(starts[rest], widths[rest])
-            products.append((left, right, compact[packed[left] + packed[right]] - starts[k]))
+            at = degrees[out] == k
+            products.append((left[at], right[at], out[at] - starts[k]))
         self.products_by_degree = tuple(products)
 
         # d/dx_j moves each slot that holds x_j to the slot with one x_j
@@ -167,7 +163,7 @@ class SeriesSpace:
         return int(np.dot(alpha, self.unit_packed))
 
     def degree_sums(self, norms: np.ndarray) -> np.ndarray:
-        """Per-degree sums norms[..., by_degree[k]].sum() for k = 1..D.
+        """Per-degree sums norms[..., packed[starts[k]:starts[k + 1]]].sum() for k = 1..D.
 
         `norms` is (..., size) and nonnegative; the result is (..., D) and may
         be a view of `norms`.  In one variable slot k is degree k and holds
@@ -175,7 +171,7 @@ class SeriesSpace:
         left to right, so when every degree has fewer than eight slots one
         padded gather, its padding set to +0.0, gives the same bits as the
         per-degree sums.  Longer degrees, where numpy sums pairwise, are
-        summed one degree at a time.
+        summed one degree at a time, each over its block of compact columns.
         """
         if self.dim == 1:
             return norms[..., 1:]
@@ -183,10 +179,11 @@ class SeriesSpace:
             gathered = norms[..., self._degree_table]
             gathered[..., self._degree_pad] = 0.0
             return np.add.reduce(gathered, axis=-1)
-        sums = [
-            [row[self.by_degree[k]].sum() for k in range(1, self.degree + 1)]
-            for row in norms.reshape(-1, self.size)
-        ]
+        s = self.starts.tolist()
+        sums = []
+        for row in norms.reshape(-1, self.size):
+            row = row[self.packed]  # compact columns: degree k is s[k]:s[k + 1]
+            sums.append([row[s[k]:s[k + 1]].sum() for k in range(1, self.degree + 1)])
         return np.array(sums).reshape(norms.shape[:-1] + (self.degree,))
 
     # -- construction ----------------------------------------------------
@@ -242,8 +239,9 @@ class SeriesSpace:
         `mul` bit for bit.  A left factor with an infinity or a NaN breaks
         this (inf * 0 is NaN), so callers pass finite left factors only.
         """
-        keep = b[self._mul_rhs] != 0
-        return self._mul_lhs[keep], self._mul_rhs[keep], self._mul_out[keep]
+        lhs, rhs, out = self._mul_pairs
+        keep = b[rhs] != 0
+        return lhs[keep], rhs[keep], out[keep]
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Truncated product of two scalar series, over the full product table."""
@@ -310,10 +308,6 @@ class SeriesSpace:
                 memo[q] = self._product(memo[parent], comps[var], tables[var])
             out += cols[:, self.packed[c], None] * memo[c][None, :]
         return out
-
-    def evaluate(self, cols: np.ndarray, point) -> np.ndarray:
-        """Value of a vector series at a concrete argument vector."""
-        return self.evaluate_compact(np.atleast_2d(cols)[:, self.packed], point)
 
     def evaluator(self, cols: np.ndarray, center):
         """The map x -> value of the series `cols` at x - center.
@@ -427,7 +421,7 @@ class SeriesSpace:
             terms = np.zeros((d, support.size + 1, width), dtype=np.complex128)
             np.multiply(coef, mono[row[support], lo:hi], out=terms[:, 1:])
             t = np.add.accumulate(terms, axis=1)[:, -1]  # 0.0 + c_1 u^a_1 + c_2 u^a_2 + ...
-            idx = self.by_degree[k]
+            idx = self.packed[lo:hi]
             h[:, idx] -= np.linalg.solve(m, t)
             mono[units, lo:hi] = h[:, idx]
             if k == 1:

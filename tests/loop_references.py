@@ -107,7 +107,7 @@ def reference_inverse_blocks(g):
         h = sp.zeros(d)
         for k in range(1, g.degree + 1):
             t = reference_substitute(sp, cols, chart_components(sp, h)) + h
-            idx = sp.by_degree[k]
+            idx = sp.packed[sp.starts[k]:sp.starts[k + 1]]
             h[:, idx] -= np.linalg.solve(m, t[:, idx])
         blocks.append(h)
     return blocks
@@ -192,7 +192,7 @@ def reference_majorants(sp, blocks, rho):
         for k in range(1, sp.degree + 1):
             if k > 1:
                 rho_pow *= rho
-            h = float(coeff_norm[sp.by_degree[k]].sum())
+            h = float(coeff_norm[sp.packed[sp.starts[k]:sp.starts[k + 1]]].sum())
             h_max[k] = max(h_max[k], h)
             if h:
                 t = h * rho_pow

@@ -107,6 +107,15 @@ def test_report_lines_are_printable_one_per_criterion(battery):
         assert name in line
 
 
+def test_germ_inversion_reports_its_least_sup_slack(battery):
+    # the least 1/(6n) - sup_norm(h) over the 1,000 inverses; the detail
+    # used to clamp it at 0
+    _, report = battery
+    detail = report["criteria"][4]["detail"]
+    slack = float(detail.split("sup slack ")[1].split(",")[0])
+    assert 0.0 < slack < 1.0 / 24
+
+
 def test_norm_hook_detail_does_not_depend_on_earlier_work():
     first = acceptance.criterion_norm_comparison_hook(0)
     second = acceptance.criterion_norm_comparison_hook(0)

@@ -313,6 +313,29 @@ def test_limit_certify_refuses_a_delta_that_underflows(json_file):
     assert "underflows to 0" in report["error"]
 
 
+def test_limit_certify_refuses_more_than_1023_steps(json_file):
+    path = json_file({"step_sups": [1.0] * 1100}, "sups.json")
+    code, out, err = run_process(["limit-certify", "--r", "0.1", "--R", "1", "--epsilon", "1", path])
+    assert code == 3
+    assert "Traceback" not in err
+    assert "at most 1023 are supported" in json.loads(out)["error"]
+
+
+def test_limit_verify_refuses_an_inflated_delta(json_file):
+    code, written = run(["limit-certify", "--r", "0.05", "--R", "1", "--epsilon", "0.01",
+                         json_file({"step_sups": [1.0, 1.0]}, "sups.json")])
+    assert code == 0
+    del written["guarantee"]
+    argv = ["limit-verify", "--map", "matrix2-commutator", "--samples", "20"]
+    code, report = run(argv + [json_file(written, "cert.json")])
+    assert code == 0
+    assert report["certificate"] == written  # a certificate that limit-certify wrote loads unchanged
+    written["delta"][1] *= 1.5
+    code, report = run(argv + [json_file(written, "inflated.json")])
+    assert code == 3
+    assert "delta_2" in report["error"]
+
+
 def _germ_input(edit):
     obj = germ_to_json(Germ.from_terms(AnchorSet.origin(1), 1, [{(2,): [0.1]}]))
     edit(obj)
@@ -374,12 +397,14 @@ def test_limit_verify_with_the_builtin_certificate():
 
 
 def test_limit_verify_catches_a_corrupted_certificate(json_file):
-    # a hand-tight certificate: epsilon 2e-3 with delta 1e-3 leaves no slack,
-    # so inflating delta tenfold flips the verdict instead of hiding in margin
+    # a certificate with false step sups: 1e-4 is far below the map's, so the
+    # derived radii (0.05, 0.025, 0.0125) admit both deltas below.  Epsilon
+    # 2e-3 with delta 1e-3 leaves no slack, so inflating delta tenfold flips
+    # the verdict instead of hiding in margin: only sampling sees the false sups
     tight = {
-        "R": 1.0, "r": 0.05, "epsilon": 2e-3,
-        "step_sups": [1.0, 1.0, 1.0],
-        "a": [2e-3] * 3, "b": [0.5] * 3, "delta": [1e-3] * 3,
+        "R": 1.0, "r": 0.1, "epsilon": 2e-3,
+        "step_sups": [1e-4, 1e-4, 1e-4],
+        "a": [0.05, 0.025, 0.0125], "b": [1.0] * 3, "delta": [1e-3] * 3,
     }
     good = json_file(tight, "tight.json")
     argv = ["limit-verify", "--map", "matrix2-commutator", "--samples", "200", "--seed", "0"]

@@ -231,6 +231,26 @@ def test_empty_families_are_rejected():
         verify_bounded_series([], 0.1)
 
 
+def test_degrees_below_one_are_refused():
+    # the bound fails at degrees 1 and 8; with no degree at all, the left
+    # side is an empty sum that used to certify it
+    smp = AnalyticSample(lambda x: x, [0.0], 1.0, 1e-3, majorants=(0.0, 1.0, 1.0))
+    for degree in (8, 1):
+        assert verify_bounded_series([smp], 0.1, degree=degree).verdict is False
+    for degree in (0, -1, 2.0, True):
+        with pytest.raises(ValidationError, match="truncation degree"):
+            verify_bounded_series([smp], 0.1, degree=degree)
+
+
+@pytest.mark.parametrize("quadrature", [3, 0, 16.0, None])
+def test_bad_quadrature_sizes_are_refused_on_entry(quadrature):
+    blind = AnalyticSample(lambda x: x, [0.0], 1.0, 1.0)
+    with pytest.raises(ValidationError, match="quadrature size"):
+        verify_bounded_series([blind], 0.1, degree=2, quadrature=quadrature)
+    with pytest.raises(ValidationError, match="quadrature size"):
+        cauchy_directional_coefficient(blind, [1.0], 0.5, 1, quadrature)
+
+
 # -- wrappers --------------------------------------------------------------------
 
 
@@ -255,7 +275,7 @@ def _loop_majorants(cols, degree, radius, first):
     sp = space(cols.shape[0], degree)
     coeff_norm = np.abs(cols).max(axis=0)
     majorants = [float(coeff_norm[0]) if first == 0 else 0.0]
-    majorants += [float(coeff_norm[sp.by_degree[k]].sum()) for k in range(1, degree + 1)]
+    majorants += [float(coeff_norm[sp.packed[sp.starts[k]:sp.starts[k + 1]]].sum()) for k in range(1, degree + 1)]
     sup = 0.0
     for k in range(first, degree + 1):
         sup += majorants[k] * radius**k

@@ -47,9 +47,11 @@ _FAMILY = {
         {"terms": [{"alpha": [1], "coeff": [[1.0, 0.0]]}], "radius": 1.0, "center": [0.0]}
     ]
 }
+# the radii of these R, r, epsilon and step sups are a = delta = (0.025, 0.0125)
+# and b = (1, 1); a smaller stored delta loads as it is
 _CERTIFICATE = {
-    "R": 1.0, "r": 0.05, "epsilon": 2e-3, "step_sups": [1.0, 1.0],
-    "a": [2e-3, 2e-3], "b": [0.5, 0.5], "delta": [1e-3, 1e-3],
+    "R": 1.0, "r": 0.05, "epsilon": 2e-3, "step_sups": [1e-4, 1e-4],
+    "a": [0.025, 0.0125], "b": [1.0, 1.0], "delta": [1e-3, 1e-3],
 }
 
 # (verb and options, valid inputs): every verb that reads a file
@@ -191,9 +193,12 @@ def test_certificates_refuse_non_numbers(key, value):
 
 
 def test_certificates_refuse_deltas_whose_sum_reaches_r():
-    with pytest.raises(ValidationError, match="sums of delta reach r"):
+    # loading refuses each delta above its derived radius, and those sum below r
+    with pytest.raises(ValidationError, match="delta_1 .* exceeds"):
         certificate_from_json({**_CERTIFICATE, "delta": [0.03, 0.02]})
-    assert certificate_from_json({**_CERTIFICATE, "delta": [0.03, 0.0199]}).delta == (0.03, 0.0199)
+    with pytest.raises(ValidationError, match="delta_2 .* exceeds"):
+        certificate_from_json({**_CERTIFICATE, "delta": [0.02, 0.03]})
+    assert certificate_from_json({**_CERTIFICATE, "delta": [0.025, 0.0125]}).delta == (0.025, 0.0125)
 
 
 def test_pairs_writer_matches_the_per_entry_floats():

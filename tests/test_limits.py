@@ -157,12 +157,42 @@ def test_certificate_json_rejects_broken_payloads():
             certificate_from_json({**good, key: value})
 
 
-def test_tampered_delta_loads_without_complaint():
-    # parsing trusts the numbers; only sampling can expose an inflated delta
-    good = build_certificate([2.0], 1.0, 0.1, 0.3).to_json()
-    good["delta"] = [d * 10.0 for d in good["delta"]]
-    bloated = certificate_from_json(good)
-    assert bloated.delta[0] == pytest.approx(good["delta"][0])
+def test_tampered_delta_is_refused():
+    # loading re-derives the radii, so an inflated delta never reaches sampling
+    good = build_certificate([2.0, 3.0], 1.0, 0.1, 0.3).to_json()
+    bloated = dict(good, delta=[good["delta"][0], good["delta"][1] * 10.0])
+    with pytest.raises(ValidationError, match="delta_2 .* exceeds"):
+        certificate_from_json(bloated)
+    # one ulp above the derived radius is refused too
+    nudged = dict(good, delta=[np.nextafter(good["delta"][0], 1.0), good["delta"][1]])
+    with pytest.raises(ValidationError, match="delta_1 .* exceeds"):
+        certificate_from_json(nudged)
+
+
+def test_loading_keeps_a_smaller_delta_and_derives_a_and_b():
+    good = build_certificate([2.0, 3.0], 1.0, 0.1, 0.3)
+    stored = dict(good.to_json(), a=[9.0, 9.0], b=[9.0, 9.0], delta=[good.delta[0] / 2, good.delta[1]])
+    cert = certificate_from_json(stored)
+    assert cert.delta == (good.delta[0] / 2, good.delta[1])
+    assert (cert.a, cert.b) == (good.a, good.b)
+    # the radii are re-derived, so a working radius out of range is refused
+    with pytest.raises(DomainError, match=r"R/\(2e\)"):
+        certificate_from_json(dict(good.to_json(), r=0.5))
+
+
+def test_certificates_stop_at_1023_steps():
+    # 2.0**1024 overflows; 1023 steps still follow the formulas bit for bit,
+    # and with these sizes no delta underflows; b leaves 1 at n = 997
+    cert = build_certificate([1.0] * 1023, 1e300, 1e299, 1e300)
+    n = np.arange(1, 1024, dtype=float)
+    assert np.array_equal(cert.a, 1e299 / 2.0**n)
+    assert np.array_equal(cert.b, np.minimum(1.0, 1e300 / (2.0**n * 1.0)))
+    assert cert.b[995] == 1.0 > cert.b[996]
+    assert np.array_equal(cert.delta, np.multiply(cert.a, cert.b))
+    with pytest.raises(DomainError, match="at most 1023 are supported"):
+        build_certificate([1.0] * 1024, 1e300, 1e299, 1e300)
+    with pytest.raises(DomainError, match="delta_535 underflows to 0"):
+        build_certificate([1.0] * 1023, 1.0, 0.1, 0.3)
 
 
 # -- sampling verification ----------------------------------------------------
