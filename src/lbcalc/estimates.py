@@ -17,7 +17,8 @@ family.  Two routes produce the beta_k:
   block and the sample is called once per node; the weighted values are
   added node by node with one np.add.accumulate.  Samples read off a series
   evaluate it through `SeriesSpace.evaluator`, which gathers its
-  coefficients once per sample.
+  coefficients and its center once per sample, so a node costs one pass
+  along the monomial chains and one dot product.
 
 The probe maximum over finitely many directions can only undershoot the true
 directional sup, and the stored majorants dominate the homogeneous sups they

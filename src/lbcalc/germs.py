@@ -22,7 +22,8 @@ at D.  It is gated by the containment check
 the radius-1/l ball into the radius-1/(n+2) ball where g1 is controlled.
 Inversion solves the chart equation in one pass over the degrees, forming
 each monomial of id + h once, and certifies both the vanishing residual and
-the 1/(6n) bound on the inverse's sup_norm at the output index 12n.
+the 1/(6n) bound on the inverse's sup_norm at the output index 12n; the
+inverse keeps the residual it certified, which `residual` hands back.
 
 The algebra at one anchor (chart composition, its derivative and the
 reversion) belongs to `lbcalc.series.SeriesSpace`, which owns the series
@@ -118,7 +119,7 @@ class Germ:
     own index stay valid and are reused by the norm functions.
     """
 
-    __slots__ = ("anchors", "index", "degree", "coeffs", "_norms")
+    __slots__ = ("anchors", "index", "degree", "coeffs", "_norms", "_defect")
 
     def __init__(self, anchors: AnchorSet, index: int, coeffs, degree: int = DEFAULT_DEGREE):
         if not isinstance(anchors, AnchorSet):
@@ -149,6 +150,7 @@ class Germ:
         self.degree = degree
         self.coeffs = stack
         self._norms = _run_norm_hook(sp, stack, index)
+        self._defect = None  # (g, blocks) on an inverse of g; see `invert`
 
     @classmethod
     def from_terms(cls, anchors, index: int, terms_per_anchor, degree: int = DEFAULT_DEGREE) -> "Germ":
@@ -347,11 +349,16 @@ def compose(g1: Germ, g2: Germ) -> Germ:
     Equals g1 o (g2 + id) + g2 per anchor.  Gated by the containment check
     (1 + d_norm(g2)) (g1.index + 2) <= g2.index; the static sizing rule is
     available as composition_codomain_index.  The result lives at g2's index.
+    When g2 = invert(g1) for this very g1 object, the blocks are the residual
+    that `invert` certified; any other pair, an equal copy included, composes.
     """
     _check_frames(g1, g2)
     _containment_gate(g1, g2)
-    sp = space(g1.dim, g1.degree)
-    blocks = [sp.chart_compose(a, b) for a, b in zip(g1.coeffs, g2.coeffs)]
+    if g2._defect is not None and g2._defect[0] is g1:
+        blocks = g2._defect[1]
+    else:
+        sp = space(g1.dim, g1.degree)
+        blocks = [sp.chart_compose(a, b) for a, b in zip(g1.coeffs, g2.coeffs)]
     return Germ(g1.anchors, g2.index, blocks, g1.degree)
 
 
@@ -360,7 +367,7 @@ def residual(g1: Germ, g2: Germ) -> Germ:
 
     On the chart level this is exactly the composition product, so a germ g2
     inverts g1 precisely when the residual vanishes through the truncation
-    degree.
+    degree.  `compose` hands back the defect of g2 = invert(g1) it certified.
     """
     return compose(g1, g2)
 
@@ -391,7 +398,8 @@ def invert(g: Germ) -> Germ:
     degree by degree (see `SeriesSpace.chart_inverse`).  Two post-conditions
     are certified before returning: the residual, recomputed by a full
     chart composition, vanishes through the truncation degree, and
-    sup_norm(result) <= 1 / (6 * g.index).
+    sup_norm(result) <= 1 / (6 * g.index).  The result keeps those residual
+    blocks and g for `residual(g, result)`; every call computes them afresh.
     """
     dn = d_norm(g)
     if dn > INVERSION_D_BOUND:
@@ -400,7 +408,7 @@ def invert(g: Germ) -> Germ:
         )
     sp = space(g.dim, g.degree)
     out_index = INVERSION_INDEX_FACTOR * g.index
-    blocks = []
+    blocks, defects = [], []
     for cols in g.coeffs:
         h = sp.chart_inverse(cols)
         defect = sp.chart_compose(cols, h)
@@ -410,7 +418,9 @@ def invert(g: Germ) -> Germ:
                 f"inversion residual {worst} exceeds {_RESIDUAL_TOL}"
             )
         blocks.append(h)
+        defects.append(defect)
     inv = Germ(g.anchors, out_index, blocks, g.degree)
+    inv._defect = (g, defects)
     ceiling = 1.0 / (INVERSION_SUP_FACTOR * g.index)
     got = sup_norm(inv)
     if got > ceiling:

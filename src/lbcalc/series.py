@@ -6,22 +6,24 @@ lives at packed position sum(a_i * (D+1)**i).  Because only totals up to D are
 ever kept, packed positions add without carries under multiplication, so a
 truncated product is one gather-multiply-scatter over a precomputed index
 table.  Slots whose multi-index exceeds the total degree stay exactly zero.
+Output slot o is bins 2o and 2o + 1 of the float64 view, so one bincount
+adds the real and imaginary parts of all products.
 
 The C(D+d, d) live slots, in the order of `alphas` (by total degree, then by
 multi-index), also number the columns of a compact layout.  In compact
 columns each degree is one contiguous block, and every slot of degree >= 1
 is its parent slot times one variable, the first variable that the slot
-holds.  `substitute` and `evaluate_compact` build monomials along these
-parent chains.  The product table is also cut by output degree, restricted
+holds.  `substitute` and `evaluator` build monomials along these parent
+chains.  The product table is also cut by output degree, restricted
 to pairs whose two factors both have degree >= 1: with zero constant terms,
 degree k of a product reads only lower degrees of its factors, which is
 what lets `chart_inverse` form every monomial one degree at a time.
 
 `substitute` and `mul_rows` multiply by a sparse right factor over only
 the pairs of the table where it is nonzero, with the bits of `mul` (see
-`_pairs_onto`); the restricted tables are built per call.
-`evaluate_compact` reads coefficients in compact columns, so `evaluator`
-gathers those columns once for a series evaluated at many points.
+`_pairs_onto`); the restricted tables are built per call.  `evaluator` is
+the one evaluation routine: it gathers the compact columns once for a
+series evaluated at many points.
 
 Vector-valued series (coefficients in C^m) are stored as (m, size) arrays and
 reuse the scalar tables row by row.  A vector series g in d variables with
@@ -129,7 +131,9 @@ class SeriesSpace:
         fits = starts[degree - degrees + 1]
         left = np.repeat(np.arange(live), fits)
         right = _runs(np.zeros_like(fits), fits)
-        self._mul_pairs = (packed[left], packed[right], packed[left] + packed[right])
+        # bins 2o and 2o + 1 of the float64 view take the parts of output slot o
+        bins = 2 * (packed[left] + packed[right])[:, None] + np.arange(2)
+        self._mul_pairs = (packed[left], packed[right], bins.ravel())
 
         # the same pairs restricted to factors of degree >= 1 and split by
         # output degree k, in table order, as (left, right, output - starts[k])
@@ -218,17 +222,14 @@ class SeriesSpace:
     # -- arithmetic ------------------------------------------------------
 
     def _product(self, a: np.ndarray, b: np.ndarray, pairs) -> np.ndarray:
-        """Sum of a[lhs] * b[rhs] into the slots `out`, for pairs = (lhs, rhs, out).
+        """Sum of a[lhs] * b[rhs] into their output slots, for pairs = (lhs, rhs, bins).
 
-        Each output slot is 0.0 plus its products, added in table order, for
-        the real and the imaginary part alike.
+        Each part of each output slot, one bin of the float64 view, is 0.0
+        plus its products, added in table order by one bincount.
         """
-        lhs, rhs, out = pairs
-        prods = a[lhs] * b[rhs]
-        res = np.empty(self.size, dtype=np.complex128)
-        res.real = np.bincount(out, weights=prods.real, minlength=self.size)
-        res.imag = np.bincount(out, weights=prods.imag, minlength=self.size)
-        return res
+        lhs, rhs, bins = pairs
+        prods = (a[lhs] * b[rhs]).astype(np.complex128, copy=False)  # real factors too
+        return np.bincount(bins, prods.view(np.float64), 2 * self.size).view(np.complex128)
 
     def _pairs_onto(self, b: np.ndarray):
         """The product table restricted to the pairs where b[rhs] is nonzero.
@@ -239,9 +240,9 @@ class SeriesSpace:
         `mul` bit for bit.  A left factor with an infinity or a NaN breaks
         this (inf * 0 is NaN), so callers pass finite left factors only.
         """
-        lhs, rhs, out = self._mul_pairs
-        keep = b[rhs] != 0
-        return lhs[keep], rhs[keep], out[keep]
+        lhs, rhs, bins = self._mul_pairs
+        keep = np.flatnonzero(b[rhs])
+        return lhs.take(keep), rhs.take(keep), bins.reshape(-1, 2).take(keep, 0).ravel()
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Truncated product of two scalar series, over the full product table."""
@@ -312,32 +313,27 @@ class SeriesSpace:
     def evaluator(self, cols: np.ndarray, center):
         """The map x -> value of the series `cols` at x - center.
 
-        The compact columns of `cols` are gathered once, when the map is
-        made, and every call evaluates them with `evaluate_compact`.
+        The compact columns of `cols` are gathered and the center is taken
+        out as Python complexes once, when the map is made.  Each call builds
+        the monomials of x - center along the parent chains, one scalar
+        product per live slot in compact-column order, and returns their dot
+        product with the gathered columns.
         """
         compact = cols[:, self.packed]
+        center = np.broadcast_to(np.asarray(center, dtype=np.complex128), (self.dim,)).tolist()
+        chain = self._chain[1:]
 
         def at(point):
-            return self.evaluate_compact(compact, np.asarray(point) - center)
+            point = np.asarray(point, dtype=np.complex128).reshape(-1)
+            if point.shape != (self.dim,):
+                raise ValidationError(f"expected a point with {self.dim} components, got {point.shape[0]}")
+            x = [p - c for p, c in zip(point.tolist(), center)]
+            vals = [1.0 + 0.0j] * self.live
+            for c, q, i in chain:
+                vals[c] = vals[q] * x[i]
+            return compact.dot(vals)
 
         return at
-
-    def evaluate_compact(self, compact: np.ndarray, point) -> np.ndarray:
-        """Value at a point of a series given in compact columns, (m, live).
-
-        The monomial values are built along the parent chains, one scalar
-        product per live slot, in compact-column order.
-        """
-        point = np.asarray(point, dtype=np.complex128).reshape(-1)
-        if point.shape != (self.dim,):
-            raise ValidationError(
-                f"expected a point with {self.dim} components, got {point.shape[0]}"
-            )
-        x = point.tolist()
-        vals = [1.0 + 0.0j] * self.live
-        for c, q, i in self._chain[1:]:
-            vals[c] = vals[q] * x[i]
-        return compact @ np.array(vals)
 
     # -- charts ----------------------------------------------------------
 
@@ -358,11 +354,13 @@ class SeriesSpace:
         id + b applied to db, and db itself.
         """
         d = self.dim
-        u = self.chart(b)
-        term1 = self.substitute(da, u)
-        jac = np.concatenate([self.differentiate(a, j) for j in range(d)], axis=0)
-        # row layout: entry (j * d + i) is the partial of component i along x_j
-        jac_sub = self.substitute(jac, u)
+        # da over the Jacobian of a, whose row d + j * d + i is the partial of
+        # component i along x_j, substituted at once: a row adds +-0.0 for the
+        # other rows' columns, which changes no sum begun at +0.0, and the
+        # constant slot, which may start at -0.0, is +0.0 in the result anyway
+        rows = np.concatenate([da] + [self.differentiate(a, j) for j in range(d)])
+        sub = self.substitute(rows, self.chart(b))
+        term1, jac_sub = sub[:d], sub[d:]
         term2 = np.zeros_like(term1)
         for j in range(d):  # term2[i] adds its products in j order, as a loop over i, j
             term2 += self.mul_rows(jac_sub[j * d:(j + 1) * d], db[j])
@@ -413,7 +411,7 @@ class SeriesSpace:
                 lhs, rhs, out = self.products_by_degree[k]
                 # parent times component, the operand order of `mul`: numpy's
                 # vectorised complex product can round a*b and b*a differently
-                prods = mono[left[:rows, None], lhs] * mono[right[:rows, None], rhs]
+                prods = mono.take(left[:rows], 0).take(lhs, 1) * mono.take(right[:rows], 0).take(rhs, 1)
                 bins = (np.arange(rows)[:, None] * width + out).ravel()
                 block = mono[first:first + rows, lo:hi]
                 block.real = np.bincount(bins, prods.real.ravel(), rows * width).reshape(rows, width)

@@ -2,11 +2,13 @@
 the contour quadrature and the BCH plan walks.
 
 These are the algorithms that `lbcalc.series` and `lbcalc.germs.invert` used
-before their index tables existed: the double-loop table build, the memoised
-`monomial` substitution, the per-slot evaluation and the degree-by-degree
-inversion, which runs one full substitution per degree.  Every product in
-them runs over the full product table, as do those of the derivative of
-composition, whose Jacobian term takes one `mul` per pair of components.
+before their index tables existed: the double-loop table build, the truncated
+product with one bincount per part, the memoised `monomial` substitution, the
+per-slot evaluation and the degree-by-degree inversion, which runs one full
+substitution per degree.  Every product in them runs over the full
+double-loop table, as do those of the derivative of composition, which
+substitutes da and the Jacobian separately and takes one product per pair of
+components in its Jacobian term.
 The contour coefficient is added up node by node.  The last two walk the BCH
 plan node by node, as `dirichlet.bch_series` and `matrices.bch` did before
 `words.apply_plan` walked it one degree at a time.  The last three are the
@@ -19,6 +21,7 @@ require the new code to agree with them bit for bit.
 
 import math
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -49,6 +52,26 @@ def reference_tables(dim, degree):
     return alphas, packed, lhs, rhs, out
 
 
+@lru_cache(maxsize=None)
+def _reference_pairs(dim, degree):
+    _, _, lhs, rhs, out = reference_tables(dim, degree)
+    return np.array(lhs), np.array(rhs), np.array(out)
+
+
+def reference_product(sp, a, b):
+    """Truncated product of two scalar series, one bincount per part.
+
+    Each output slot is 0.0 plus its products, added in table order, the
+    real parts in one bincount and the imaginary parts in another.
+    """
+    lhs, rhs, out = _reference_pairs(sp.dim, sp.degree)
+    prods = a[lhs] * b[rhs]
+    res = np.empty(sp.size, dtype=np.complex128)
+    res.real = np.bincount(out, weights=prods.real, minlength=sp.size)
+    res.imag = np.bincount(out, weights=prods.imag, minlength=sp.size)
+    return res
+
+
 def reference_substitute(sp, cols, components):
     """cols o components with one memoised product per monomial, built on demand."""
     cols = np.atleast_2d(cols)
@@ -63,7 +86,7 @@ def reference_substitute(sp, cols, components):
             return got
         alpha = alpha_at[p]
         i = next(k for k, a in enumerate(alpha) if a > 0)
-        val = sp.mul(monomial(p - sp.unit_packed[i]), memo[sp.unit_packed[i]])
+        val = reference_product(sp, monomial(p - sp.unit_packed[i]), memo[sp.unit_packed[i]])
         memo[p] = val
         return val
 
@@ -126,7 +149,7 @@ def reference_compose_derivative_blocks(g1, g2, dg1, dg2):
         term2 = np.zeros_like(term1)
         for i in range(d):
             for j in range(d):
-                term2[i] += sp.mul(jac_sub[j * d + i], dc2[j])
+                term2[i] += reference_product(sp, jac_sub[j * d + i], dc2[j])
         blocks.append(term1 + term2 + dc2)
     return blocks
 

@@ -1,5 +1,6 @@
 """Coefficient extraction by contour quadrature and the bounded-series verdict."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -324,3 +325,22 @@ def test_a_nan_majorant_is_refused(bad):
     # one stopped the exact verdict with an OverflowError
     with pytest.raises(ValidationError, match=str(bad)):
         AnalyticSample(lambda p: p, np.zeros(1), 1.0, 1.0, majorants=(0.0, bad))
+
+
+@pytest.mark.parametrize("dim, degree, quadrature", [(1, 8, 32), (2, 3, 8), (3, 2, 4)])
+def test_a_probe_calls_the_sample_once_per_node(monkeypatch, dim, degree, quadrature):
+    # 3d directions, D + 1 degrees and Q nodes each: 3d (D + 1) Q calls
+    g = random_germ(generator(dim), AnchorSet.origin(dim), 2, degree=8, terms=6, d_target=0.3)
+    blind = dataclasses.replace(sample_from_germ(g), majorants=None)
+    calls = []
+    original = AnalyticSample.__call__
+
+    def counted(self, point):
+        calls.append(1)
+        return original(self, point)
+
+    monkeypatch.setattr(AnalyticSample, "__call__", counted)
+    report = verify_bounded_series([blind], 0.5 * blind.radius / (2.0 * math.e), degree=degree,
+                                   quadrature=quadrature)
+    assert report.route == "probed"
+    assert len(calls) == 3 * dim * (degree + 1) * quadrature

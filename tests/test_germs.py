@@ -8,7 +8,9 @@ are also checked bit for bit against the loops they replaced
 (`loop_references`).
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -45,7 +47,7 @@ from lbcalc.germs import (
     zero_germ,
 )
 from lbcalc.sampling import generator, random_germ
-from lbcalc.series import space
+from lbcalc.series import SeriesSpace, space
 
 ORIGIN1 = AnchorSet.origin(1)
 ORIGIN2 = AnchorSet.origin(2)
@@ -335,6 +337,11 @@ def test_composition_derivative_matches_the_full_products(dim, terms):
         got = compose_derivative(g1, g2, dg1, dg2)
         want = reference_compose_derivative_blocks(g1, g2, dg1, dg2)
         assert all(same_bits(block, ref) for block, ref in zip(got.coeffs, want))
+        # negated germs carry -0.0 in every zero slot, the constant slot too,
+        # where da and the Jacobian begin their one stacked substitution
+        got = compose_derivative(-g1, g2, -dg1, dg2)
+        want = reference_compose_derivative_blocks(-g1, g2, -dg1, dg2)
+        assert all(same_bits(block, ref) for block, ref in zip(got.coeffs, want))
 
 
 def test_inversion_requires_a_small_derivative():
@@ -585,3 +592,82 @@ def test_inversion_composes_through_the_series_space(monkeypatch):
 
     monkeypatch.setattr(germs, "compose", refuse)
     assert same_bits(invert(g).coeffs, want.coeffs)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that each call is counted; return the count list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_the_residual_of_an_inverse_is_its_certified_defect(monkeypatch):
+    # residual(g, invert(g)) calls compose once, and compose hands back the
+    # defect that invert certified: the bytes of a fresh chart composition
+    g = _family(5, 2, 2, 12, 2, 0.3)
+    h = invert(g)
+    sp = space(g.dim, g.degree)
+    fresh = [sp.chart_compose(a, b) for a, b in zip(g.coeffs, h.coeffs)]
+    composes = _count_calls(monkeypatch, germs, "compose")
+    charts = _count_calls(monkeypatch, SeriesSpace, "chart_compose")
+    res = residual(g, h)
+    assert len(composes) == 1 and charts == []
+    assert res.index == h.index
+    assert all(same_bits(got, want) for got, want in zip(res.coeffs, fresh))
+    # a germ equal to g but not g itself, or to h but not h, composes afresh
+    twin = Germ(g.anchors, g.index, g.coeffs, g.degree)
+    assert all(same_bits(got, want) for got, want in zip(residual(twin, h).coeffs, fresh))
+    assert len(charts) == len(g.anchors)
+    h_twin = Germ(h.anchors, h.index, h.coeffs, h.degree)
+    assert all(same_bits(got, want) for got, want in zip(residual(g, h_twin).coeffs, fresh))
+    assert len(charts) == 2 * len(g.anchors)
+
+    # the containment gate still runs before the defect is handed back
+    def refuse(outer, inner):
+        raise DomainError("containment check failed")
+
+    monkeypatch.setattr(germs, "_containment_gate", refuse)
+    with pytest.raises(DomainError, match="containment"):
+        residual(g, h)
+
+
+def test_negated_germs_keep_the_bits_of_a_fresh_residual():
+    g = -_family(6, 3, 1, 12, 1, 0.4)  # -0.0 in every zero slot
+    h = invert(g)
+    sp = space(g.dim, g.degree)
+    fresh = [sp.chart_compose(a, b) for a, b in zip(g.coeffs, h.coeffs)]
+    assert all(same_bits(got, want) for got, want in zip(residual(g, h).coeffs, fresh))
+
+
+def test_the_certified_defect_lives_and_dies_with_its_inverse(monkeypatch):
+    g = _family(7, 1, 2, 8, 3, 0.2)
+    h = invert(g)
+    blocks = [weakref.ref(block) for block in h._defect[1]]
+    assert all(ref() is not None for ref in blocks)
+    del h
+    gc.collect()
+    assert all(ref() is None for ref in blocks)
+    # a second invert of the same germ recomputes the inverse and its defect
+    inverses = _count_calls(monkeypatch, SeriesSpace, "chart_inverse")
+    first, second = invert(g), invert(g)
+    assert len(inverses) == 2 * len(g.anchors)
+    assert first._defect[1] is not second._defect[1]
+    assert same_bits(first.coeffs, second.coeffs)
+    # germs built from an inverse carry no defect
+    assert with_index(first, first.index)._defect is None
+    assert (-(-first))._defect is None
+
+
+def test_the_derivative_substitutes_once_per_anchor(monkeypatch):
+    # da and the Jacobian of a share the monomials of id + b: one substitution
+    g1, g2 = _family(8, 2, 2, 12, 2, 0.3), _family(9, 2, 2, 12, 12, 0.4)
+    dg1, dg2 = _family(10, 2, 2, 6, 2, 0.1), _family(11, 2, 2, 6, 12, 0.05)
+    calls = _count_calls(monkeypatch, SeriesSpace, "substitute")
+    compose_derivative(g1, g2, dg1, dg2)
+    assert len(calls) == len(g1.anchors)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -48,17 +48,36 @@ def test_norm_of_a_single_entry():
 small_entries = st.floats(min_value=-0.05, max_value=0.05)
 
 
+# Higham, Accuracy and Stability of Numerical Algorithms, section 2.1: with
+# underflow, fl(x op y) = (x op y)(1 + delta) + eta, where |eta| is at most
+# 2^-1075, half the smallest subnormal.  Relative allowances cover delta;
+# each operation behind the two sides of an assertion adds one eta, and the
+# doubling of the norm at most doubles it, so an assertion also allows its
+# operation count times 2^-1074.  For d x d inputs a product takes
+# d^2 (2d - 1) operations, a commutator twice that plus d^2 subtractions, a
+# norm d (d - 1) additions and one doubling, and the right side two norms,
+# their product, the halving and the factor 1 + 1e-12.
+_D = 3
+_NORM_OPS = _D * (_D - 1) + 1
+_RHS_OPS = 2 * _NORM_OPS + 3
+_PRODUCT_OPS = _D * _D * (2 * _D - 1) + _NORM_OPS
+_BRACKET_OPS = 2 * _D * _D * (2 * _D - 1) + _D * _D + _NORM_OPS
+_ETA = 2.0**-1074
+
+
 @given(
-    x=arrays(np.float64, (3, 3), elements=small_entries),
-    y=arrays(np.float64, (3, 3), elements=small_entries),
+    x=arrays(np.float64, (_D, _D), elements=small_entries),
+    y=arrays(np.float64, (_D, _D), elements=small_entries),
 )
+# subnormal products lose far more than 1e-12 of their relative precision
+@example(x=np.full((_D, _D), 0.03125), y=np.full((_D, _D), 2.2250738585072014e-313))
 def test_bracket_submultiplicativity(x, y):
     # the factor two buys || [x, y] || <= ||x|| ||y||, with room to spare:
     # the product itself already satisfies ||xy|| <= ||x|| ||y|| / 2
     lhs = compatible_norm(commutator(x, y))
     rhs = compatible_norm(x) * compatible_norm(y)
-    assert lhs <= rhs * (1.0 + 1e-12)
-    assert compatible_norm(x @ y) <= 0.5 * rhs * (1.0 + 1e-12)
+    assert lhs <= rhs * (1.0 + 1e-12) + (_BRACKET_OPS + _RHS_OPS) * _ETA
+    assert compatible_norm(x @ y) <= 0.5 * rhs * (1.0 + 1e-12) + (_PRODUCT_OPS + _RHS_OPS) * _ETA
 
 
 # -- exponential and logarithm ------------------------------------------------

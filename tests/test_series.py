@@ -2,8 +2,8 @@
 
 One-variable cases are checked against plain convolution; multivariate
 identities use small integer coefficients so the expected equalities are
-exact in floating point.  The index tables, `substitute` and `evaluator` are
-also checked bit for bit against the loops they replaced (`loop_references`).
+exact in floating point.  The index tables, the product, `substitute` and
+`evaluator` are also checked bit for bit against the loops they replaced (`loop_references`).
 """
 
 import ast
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from loop_references import (
     reference_evaluate,
+    reference_product,
     reference_substitute,
     reference_tables,
     same_bits,
@@ -215,9 +216,38 @@ def test_product_matches_an_unbuffered_scatter():
         a[live] = rng.standard_normal(live.sum()) * 10.0 ** rng.integers(-6, 7, live.sum())
         b[live] = rng.standard_normal(live.sum()) + 1j * rng.standard_normal(live.sum())
         want = np.zeros(sp.size, dtype=np.complex128)
-        lhs, rhs, out = sp._mul_pairs
+        _, _, lhs, rhs, out = reference_tables(dim, degree)
         np.add.at(want, out, a[lhs] * b[rhs])
         assert sp.mul(a, b).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim, degree", [(1, 8), (2, 6), (3, 8)])
+def test_product_matches_the_two_bincount_reference(dim, degree):
+    # one bincount over interleaved bins adds each part as one bincount per
+    # part does, on -0.0 parts, exact cancellations and restricted tables too
+    rng = np.random.default_rng(60 + dim)
+    sp = space(dim, degree)
+    signed = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0j])
+    for trial in range(6):
+        a = _random_cols(rng, sp, 1, trial % 2 == 0)[0]
+        b = _random_cols(rng, sp, 1, trial % 3 == 0)[0]
+        if trial >= 2:  # -0.0 parts on the zero slots
+            for c in (a, b):
+                zeros = np.flatnonzero(c == 0)
+                c[zeros] = rng.choice(signed, size=zeros.size)
+        if trial >= 4:  # slot x_1 sums c * (-c) + c * c, an exact cancellation
+            c = complex(*rng.standard_normal(2))
+            a[0], a[sp.packed[1]], b[0], b[sp.packed[1]] = c, c, c, -c
+        want = reference_product(sp, a, b)
+        assert same_bits(sp.mul(a, b), want)
+        assert same_bits(sp._product(a, b, sp._pairs_onto(b)), want)
+        assert same_bits(sp.mul(-a, b), reference_product(sp, -a, b))
+    # an infinity meets zeros of the other factor: NaN in the same bits
+    a[sp.packed[-1]] = np.inf
+    with np.errstate(invalid="ignore"):
+        assert same_bits(sp.mul(a, b), reference_product(sp, a, b))
+        # two real factors, an infinite one among them, give a complex product
+        assert same_bits(sp.mul(a.real, b.real), reference_product(sp, a.real, b.real))
 
 
 # -- the tables and the table-driven operations against their loop references ---
@@ -231,7 +261,11 @@ def test_tables_match_the_double_loop(dim, degree):
     assert sp.packed.tolist() == packed
     assert sp._mul_pairs[0].tolist() == lhs
     assert sp._mul_pairs[1].tolist() == rhs
-    assert sp._mul_pairs[2].tolist() == out
+    # output slot o sums its real parts into bin 2o and its imaginary parts into bin 2o + 1
+    bins = sp._mul_pairs[2]
+    assert bins.shape == (2 * len(out),)
+    assert bins[0::2].tolist() == [2 * o for o in out]
+    assert bins[1::2].tolist() == [2 * o + 1 for o in out]
     column = {p: c for c, p in enumerate(packed)}
     total = {p: sum(a) for a, p in zip(alphas, packed)}
     assert {p: c for c, p in enumerate(sp.packed.tolist())} == column
@@ -358,6 +392,9 @@ def test_evaluation_matches_the_per_slot_loop(dim, dense):
         cols = _random_cols(rng, sp, dim, dense)
         x = 0.7 * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
         assert same_bits(sp.evaluator(cols, 0)(x), reference_evaluate(sp, cols, x))
+        # around a center, as a germ's sample evaluates at its anchor
+        center = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        assert same_bits(sp.evaluator(cols, center)(x + center), reference_evaluate(sp, cols, x + center - center))
 
 
 @pytest.mark.parametrize("dim, degree", [(3, 40), (1, 2000), (30, 1)])
