@@ -59,7 +59,7 @@ def _strip_majorants(sample: AnalyticSample) -> AnalyticSample:
     return replace(sample, majorants=None)
 
 
-def _entire_sample(dim: int, radius: float, c: complex, label: str) -> AnalyticSample:
+def _entire_sample(dim: int, radius: float, c: complex) -> AnalyticSample:
     # f(x) = c (exp(x_1 + ... + x_d) - 1), entire; on the closed ball of
     # radius R in the max norm, |f| <= |c| (e^(dR) - 1)
     def evaluator(point):
@@ -71,7 +71,6 @@ def _entire_sample(dim: int, radius: float, c: complex, label: str) -> AnalyticS
         radius=radius,
         sup_bound=abs(c) * (math.exp(dim * radius) - 1.0),
         majorants=None,
-        label=label,
     )
 
 
@@ -93,11 +92,7 @@ def estimate_corpus() -> list:
             elif j == 2:
                 center = np.full(dim, -0.1)
             terms = _random_terms(rng, dim, degree, 5 + int(rng.integers(0, 4)), 0.5)
-            members.append(
-                sample_from_polynomial(
-                    terms, center, 1.0, degree=degree, label=f"poly-{i}-{j}"
-                )
-            )
+            members.append(sample_from_polynomial(terms, center, 1.0, degree=degree))
         cases.append(
             CorpusCase(f"poly-majorant-{i:02d}", tuple(members), shrink * (0.2 + 0.02 * i))
         )
@@ -107,13 +102,10 @@ def estimate_corpus() -> list:
         rng = generator(3100 + i)
         dim = 1 + i % 3
         terms = _random_terms(rng, dim, 6, 6, 0.4)
-        base = sample_from_polynomial(terms, np.zeros(dim), 1.0, degree=6, label=f"probe-{i}")
+        base = sample_from_polynomial(terms, np.zeros(dim), 1.0, degree=6)
         family = [_strip_majorants(base)]
         if i % 2 == 1:
-            extra = sample_from_polynomial(
-                _random_terms(rng, dim, 6, 4, 0.3), np.zeros(dim), 1.0, degree=6,
-                label=f"probe-{i}-b",
-            )
+            extra = sample_from_polynomial(_random_terms(rng, dim, 6, 4, 0.3), np.zeros(dim), 1.0, degree=6)
             family.append(extra)  # mixed route: one stored, one probed
         cases.append(CorpusCase(f"poly-probed-{i:02d}", tuple(family), shrink * 0.3))
 
@@ -131,7 +123,7 @@ def estimate_corpus() -> list:
     for i in range(8):
         dim = 1 + i % 2
         c = (0.3 + 0.05 * i) * np.exp(1j * 0.7 * i)
-        sample = _entire_sample(dim, 0.8, c, f"entire-{i}")
+        sample = _entire_sample(dim, 0.8, c)
         cases.append(CorpusCase(f"entire-{i:02d}", (sample,), 0.1))
 
     if len(cases) != 50:
@@ -146,7 +138,6 @@ def estimate_corpus() -> list:
 class MapCase:
     name: str
     kind: str
-    note: str
     radius: float
     r: float
     epsilon: float
@@ -173,17 +164,17 @@ def _germ_product(g: Germ, h: Germ) -> Germ:
     return Germ(g.anchors, max(g.index, h.index), blocks, g.degree)
 
 
-def _matrix_case(name, dim, seed, form, note, sup_of):
+def _matrix_case(name, dim, seed, form, sup_of):
     def setup():
         rng = generator(seed)
         a = random_matrix(rng, dim, target=1.0)
         f = form(a)
         return f, compatible_norm, MatrixSteps(dim), sup_of(1.0)
 
-    return MapCase(name, "matrix", note, radius=1.0, r=0.05, epsilon=0.01, setup=setup)
+    return MapCase(name, "matrix", radius=1.0, r=0.05, epsilon=0.01, setup=setup)
 
 
-def _dirichlet_case(name, seed, form, note, sup_of):
+def _dirichlet_case(name, seed, form, sup_of):
     def setup():
         rng = generator(seed)
         g0 = random_series(rng, 2, (2, 3, 5, 7), 3, s=3.0, target=1.0)
@@ -191,10 +182,10 @@ def _dirichlet_case(name, seed, form, note, sup_of):
         f = form(g0, g1)
         return f, (lambda g: norm_s(g, 3.0)), DirichletSteps(2), sup_of(1.0, 1.0)
 
-    return MapCase(name, "dirichlet", note, radius=1.0, r=0.05, epsilon=0.02, setup=setup)
+    return MapCase(name, "dirichlet", radius=1.0, r=0.05, epsilon=0.02, setup=setup)
 
 
-def _germ_case(name, seed, form, note, sup_of):
+def _germ_case(name, seed, form, sup_of):
     def setup():
         rng = generator(seed)
         g0 = random_germ(rng, AnchorSet.origin(1), 3, terms=6, sup_target=1.0)
@@ -202,7 +193,7 @@ def _germ_case(name, seed, form, note, sup_of):
         out = lambda g: norms_at_index(g, 3)[0]
         return f, out, GermSteps(AnchorSet.origin(1)), sup_of(1.0)
 
-    return MapCase(name, "germ", note, radius=1.0, r=0.05, epsilon=0.02, setup=setup)
+    return MapCase(name, "germ", radius=1.0, r=0.05, epsilon=0.02, setup=setup)
 
 
 def map_registry() -> list:
@@ -215,75 +206,67 @@ def map_registry() -> list:
     """
     cases = []
     matrix_forms = [
-        ("square", lambda a: (lambda x: x @ x), "x xx", lambda R: R * R / 2.0),
-        ("cube", lambda a: (lambda x: x @ x @ x), "x xxx", lambda R: R**3 / 4.0),
-        ("commutator", lambda a: (lambda x: a @ x - x @ a), "x [a,x]", lambda R: R),
+        ("square", lambda a: (lambda x: x @ x), lambda R: R * R / 2.0),
+        ("cube", lambda a: (lambda x: x @ x @ x), lambda R: R**3 / 4.0),
+        ("commutator", lambda a: (lambda x: a @ x - x @ a), lambda R: R),
         (
             "comm-square",
             lambda a: (lambda x: a @ (x @ x) - (x @ x) @ a),
-            "x [a,xx]",
             lambda R: R * R / 2.0,
         ),
         (
             "quad-mix",
             lambda a: (lambda x: x @ x - 0.5 * (a @ x - x @ a)),
-            "x xx - [a,x]/2",
             lambda R: R * R / 2.0 + 0.5 * R,
         ),
-        ("sandwich", lambda a: (lambda x: a @ x @ a), "x axa", lambda R: R / 4.0),
+        ("sandwich", lambda a: (lambda x: a @ x @ a), lambda R: R / 4.0),
     ]
-    for k, (tag, form, note, sup_of) in enumerate(matrix_forms):
-        cases.append(_matrix_case(f"matrix2-{tag}", 2, 4000 + k, form, note, sup_of))
-    for k, (tag, form, note, sup_of) in enumerate(matrix_forms):
-        cases.append(_matrix_case(f"matrix3-{tag}", 3, 4100 + k, form, note, sup_of))
+    for k, (tag, form, sup_of) in enumerate(matrix_forms):
+        cases.append(_matrix_case(f"matrix2-{tag}", 2, 4000 + k, form, sup_of))
+    for k, (tag, form, sup_of) in enumerate(matrix_forms):
+        cases.append(_matrix_case(f"matrix3-{tag}", 3, 4100 + k, form, sup_of))
 
     dirichlet_forms = [
-        ("ad", lambda g0, g1: (lambda g: bracket(g0, g)), "g [g0,g]", lambda n0, n1: n0),
+        ("ad", lambda g0, g1: (lambda g: bracket(g0, g)), lambda n0, n1: n0),
         (
             "ad-squared",
             lambda g0, g1: (lambda g: bracket(g1, bracket(g1, g))),
-            "g [g1,[g1,g]]",
             lambda n0, n1: n1 * n1,
         ),
         (
             "ad-mix",
             lambda g0, g1: (lambda g: bracket(g0, g) + 0.5 * bracket(g1, bracket(g1, g))),
-            "g [g0,g] + [g1,[g1,g]]/2",
             lambda n0, n1: n0 + 0.5 * n1 * n1,
         ),
         (
             "shift-ad",
             lambda g0, g1: (lambda g: 2.0 * g + bracket(g0, g)),
-            "g 2g + [g0,g]",
             lambda n0, n1: 2.0 + n0,
         ),
     ]
-    for k, (tag, form, note, sup_of) in enumerate(dirichlet_forms):
-        cases.append(_dirichlet_case(f"dirichlet-{tag}", 4200 + k, form, note, sup_of))
+    for k, (tag, form, sup_of) in enumerate(dirichlet_forms):
+        cases.append(_dirichlet_case(f"dirichlet-{tag}", 4200 + k, form, sup_of))
 
     germ_forms = [
-        ("square", lambda g0: (lambda g: _germ_product(g, g)), "g gg", lambda R: R * R),
+        ("square", lambda g0: (lambda g: _germ_product(g, g)), lambda R: R * R),
         (
             "cube",
             lambda g0: (lambda g: _germ_product(_germ_product(g, g), g)),
-            "g ggg",
             lambda R: R**3,
         ),
         (
             "affine",
             lambda g0: (lambda g: _germ_product(g0, g) + 0.5 * g),
-            "g g0 g + g/2",
             lambda R: R + 0.5 * R,
         ),
         (
             "quad-mix",
             lambda g0: (lambda g: _germ_product(g, g) + _germ_product(g0, g)),
-            "g gg + g0 g",
             lambda R: R * R + R,
         ),
     ]
-    for k, (tag, form, note, sup_of) in enumerate(germ_forms):
-        cases.append(_germ_case(f"germ-{tag}", 4300 + k, form, note, sup_of))
+    for k, (tag, form, sup_of) in enumerate(germ_forms):
+        cases.append(_germ_case(f"germ-{tag}", 4300 + k, form, sup_of))
 
     if len(cases) != 20:
         raise ConfigurationError(f"map registry size drifted to {len(cases)}")

@@ -293,7 +293,7 @@ def _run_germ_invert(cmd: Command):
         "residual_max": worst,
         "sup_norm": sup_norm(h),
         "sup_ceiling": 1.0 / (6 * g.index),
-        "guarantee": "residual coefficients at most 1e-10 through the working degree",
+        "guarantee": "residual sup_norm at the result index at most 1e-10 * sup_ceiling",
     }, 0
 
 
@@ -314,9 +314,7 @@ def _family_from_json(obj, degree: int, probe: bool):
         if center.size == 0:
             raise ValidationError(f"{what} needs a 'center' or at least one term")
         radius = number(entry["radius"], f"{what} radius")
-        sample = sample_from_polynomial(
-            terms, center, radius, degree=degree, label=entry.get("label", f"member-{k}")
-        )
+        sample = sample_from_polynomial(terms, center, radius, degree=degree)
         if probe:
             sample = replace(sample, majorants=None)
         members.append(sample)

@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -66,7 +65,6 @@ class AnalyticSample:
     radius: float
     sup_bound: float
     majorants: tuple | None = None
-    label: str = ""
 
     def __post_init__(self):
         center = np.asarray(self.center, dtype=np.complex128).reshape(-1)
@@ -90,7 +88,7 @@ class AnalyticSample:
         return np.asarray(value, dtype=np.complex128).reshape(-1)
 
 
-def _block_sample(sp, cols: np.ndarray, center, radius: float, label: str) -> AnalyticSample:
+def _block_sample(sp, cols: np.ndarray, center, radius: float) -> AnalyticSample:
     """Sample of the series block `cols` around `center`, read off its coefficients.
 
     majorants[k] is the degree-k coefficient sum and sup_bound is
@@ -105,14 +103,10 @@ def _block_sample(sp, cols: np.ndarray, center, radius: float, label: str) -> An
             sup += m * radius**k
     except OverflowError:
         sup = math.inf
-    return AnalyticSample(
-        sp.evaluator(cols, center), center, radius, sup, majorants=tuple(majorants), label=label
-    )
+    return AnalyticSample(sp.evaluator(cols, center), center, radius, sup, majorants=tuple(majorants))
 
 
-def sample_from_polynomial(
-    terms: dict, center, radius: float, degree: int = DEFAULT_DEGREE, label: str = ""
-) -> AnalyticSample:
+def sample_from_polynomial(terms: dict, center, radius: float, degree: int = DEFAULT_DEGREE) -> AnalyticSample:
     """Wrap a polynomial given as {multi-index: coefficient vector}.
 
     sup_bound and the per-degree majorants come from the coefficient sums
@@ -121,17 +115,17 @@ def sample_from_polynomial(
     """
     center = np.asarray(center, dtype=np.complex128).reshape(-1)
     sp = space(center.size, degree)
-    return _block_sample(sp, sp.from_terms(terms, center.size), center, radius, label)
+    return _block_sample(sp, sp.from_terms(terms, center.size), center, radius)
 
 
-def sample_from_germ(germ, anchor: int = 0, label: str = "") -> AnalyticSample:
+def sample_from_germ(germ, anchor: int = 0) -> AnalyticSample:
     """Wrap one anchor of a germ; R = 1/index, majorants from the series.
 
     The germ vanishes at its anchors, so its degree-0 majorant is 0.0.
     """
     sp = space(germ.dim, germ.degree)
     center = germ.anchors.points[anchor]
-    return _block_sample(sp, germ.coeffs[anchor], center, 1.0 / germ.index, label)
+    return _block_sample(sp, germ.coeffs[anchor], center, 1.0 / germ.index)
 
 
 def cauchy_directional_coefficient(
@@ -169,19 +163,13 @@ def cauchy_directional_coefficient(
     return acc / (quadrature * s**k)
 
 
-class PolarizationFactor(NamedTuple):
-    value: float
-    bound: float
-
-
-def polarization_factor(k: int) -> PolarizationFactor:
-    """((2k)^k / k!, (2e)^k): the exact factor and its closed-form ceiling."""
+def polarization_factor(k: int) -> float:
+    """(2k)^k / k!, the polarization factor of degree k; (2e)^k bounds it."""
     if not isinstance(k, int) or k < 0:
         raise ValidationError(f"degree must be a nonnegative integer, got {k!r}")
     if k == 0:
-        return PolarizationFactor(1.0, 1.0)
-    value = float((2 * k) ** k) / math.factorial(k)
-    return PolarizationFactor(value, (2.0 * math.e) ** k)
+        return 1.0
+    return float((2 * k) ** k) / math.factorial(k)
 
 
 @dataclass(frozen=True)
@@ -283,7 +271,7 @@ def verify_bounded_series(
         probed = True
         dirs = _probe_directions(smp.dim, rng)
         for k in range(degree + 1):
-            factor, _ = polarization_factor(k)
+            factor = polarization_factor(k)
             best = 0.0
             for v in dirs:
                 coef = cauchy_directional_coefficient(smp, v, s, k, quadrature)

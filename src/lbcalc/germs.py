@@ -21,9 +21,10 @@ at D.  It is gated by the containment check
 (1 + d_norm(g2)) * (n + 2) <= l, which guarantees that the inner map sends
 the radius-1/l ball into the radius-1/(n+2) ball where g1 is controlled.
 Inversion solves the chart equation in one pass over the degrees, forming
-each monomial of id + h once, and certifies both the vanishing residual and
-the 1/(6n) bound on the inverse's sup_norm at the output index 12n; the
-inverse keeps the residual it certified, which `residual` hands back.
+each monomial of id + h once, and certifies at the output index 12n both
+the 1/(6n) bound on the inverse's sup_norm and a residual whose sup_norm
+is 1e-10 times that bound at most; the inverse keeps the residual it
+certified, which `residual` hands back.
 
 The algebra at one anchor (chart composition, its derivative and the
 reversion) belongs to `lbcalc.series.SeriesSpace`, which owns the series
@@ -48,7 +49,7 @@ INVERSION_INDEX_FACTOR = 12
 INVERSION_SUP_FACTOR = 6
 
 _NORM_SLACK = 1e-12          # rounding headroom for the constructor assertion
-_RESIDUAL_TOL = 1e-10        # certified defect ceiling for inversion
+_RESIDUAL_TOL = 1e-10        # inversion defect's sup majorant, relative to the inverse's ceiling
 
 norm_check_stats = {"checked": 0}
 
@@ -397,9 +398,12 @@ def invert(g: Germ) -> Germ:
     in one pass over the degrees, which forms each monomial of id + h once,
     degree by degree (see `SeriesSpace.chart_inverse`).  Two post-conditions
     are certified before returning: the residual, recomputed by a full
-    chart composition, vanishes through the truncation degree, and
-    sup_norm(result) <= 1 / (6 * g.index).  The result keeps those residual
-    blocks and g for `residual(g, result)`; every call computes them afresh.
+    chart composition, has a sup majorant at the output index 12 * g.index
+    of at most 1e-10 times the ceiling 1 / (6 * g.index), and
+    sup_norm(result) is at most that ceiling.  The residual is gated by a
+    majorant, not by its largest coefficient: coefficient k of a germ at
+    index n scales like n^(k-1).  The result keeps those residual blocks and
+    g for `residual(g, result)`; every call computes them afresh.
     """
     dn = d_norm(g)
     if dn > INVERSION_D_BOUND:
@@ -408,20 +412,16 @@ def invert(g: Germ) -> Germ:
         )
     sp = space(g.dim, g.degree)
     out_index = INVERSION_INDEX_FACTOR * g.index
-    blocks, defects = [], []
-    for cols in g.coeffs:
-        h = sp.chart_inverse(cols)
-        defect = sp.chart_compose(cols, h)
-        worst = float(np.abs(defect).max())
-        if worst > _RESIDUAL_TOL:
-            raise InternalCheckError(
-                f"inversion residual {worst} exceeds {_RESIDUAL_TOL}"
-            )
-        blocks.append(h)
-        defects.append(defect)
+    ceiling = 1.0 / (INVERSION_SUP_FACTOR * g.index)
+    blocks = [sp.chart_inverse(cols) for cols in g.coeffs]
+    defects = [sp.chart_compose(cols, h) for cols, h in zip(g.coeffs, blocks)]
+    worst = _majorants(sp, np.array(defects), 1.0 / out_index)[0]
+    if worst > _RESIDUAL_TOL * ceiling:
+        raise InternalCheckError(
+            f"inversion residual sup_norm {worst} at index {out_index} exceeds {_RESIDUAL_TOL * ceiling}"
+        )
     inv = Germ(g.anchors, out_index, blocks, g.degree)
     inv._defect = (g, defects)
-    ceiling = 1.0 / (INVERSION_SUP_FACTOR * g.index)
     got = sup_norm(inv)
     if got > ceiling:
         raise InternalCheckError(

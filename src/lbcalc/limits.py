@@ -46,8 +46,6 @@ _DRAW_SHAVE = 1.0 - 1e-12  # keeps rescaled draws strictly under their radius
 class MatrixSteps:
     """Constant sequence: every step is the same matrix algebra."""
 
-    kind = "matrix"
-
     def __init__(self, dim: int):
         self.dim = integer(dim, "matrix dimension", 1)
 
@@ -69,8 +67,6 @@ class MatrixSteps:
 
 class DirichletSteps:
     """Step j carries the half-plane norm at s = j; bondings contract."""
-
-    kind = "dirichlet"
 
     def __init__(self, dim: int, freq_pool=(1, 2, 3, 4, 5, 6, 7, 8), terms: int = 3):
         self.dim = integer(dim, "series dimension", 1)
@@ -96,8 +92,6 @@ class DirichletSteps:
 
 class GermSteps:
     """Step j holds germs at index j, measured by the sup majorant there."""
-
-    kind = "germ"
 
     def __init__(self, anchors: AnchorSet, degree: int = DEFAULT_DEGREE, terms: int = 6):
         self.anchors = anchors

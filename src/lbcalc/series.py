@@ -20,10 +20,10 @@ degree k of a product reads only lower degrees of its factors, which is
 what lets `chart_inverse` form every monomial one degree at a time.
 
 `substitute` and `mul_rows` multiply by a sparse right factor over only
-the pairs of the table where it is nonzero, with the bits of `mul` (see
-`_pairs_onto`); the restricted tables are built per call.  `evaluator` is
-the one evaluation routine: it gathers the compact columns once for a
-series evaluated at many points.
+the pairs of the table where it is nonzero, with the bits of `mul` in
+every slot where `mul` is finite (see `_pairs_onto`); the restricted
+tables are built per call.  `evaluator` is the one evaluation routine: it
+gathers the compact columns once for a series evaluated at many points.
 
 Vector-valued series (coefficients in C^m) are stored as (m, size) arrays and
 reuse the scalar tables row by row.  A vector series g in d variables with
@@ -107,11 +107,6 @@ class SeriesSpace:
         compact = np.full(self.size, -1, dtype=np.intp)  # compact column of each packed slot
         compact[packed] = np.arange(live)
 
-        widths = np.diff(starts)  # slots per degree
-        # slots of degrees 1..D, one row each, padded past the row's width
-        self._degree_pad = np.arange(widths[1:].max()) >= widths[1:, None]
-        self._degree_table = np.zeros(self._degree_pad.shape, dtype=np.intp)
-        self._degree_table[~self._degree_pad] = packed[1:]
         self.unit_compact = compact[weights]
 
         # each slot of degree >= 1 is parents[c] times x_variables[c], where
@@ -171,18 +166,13 @@ class SeriesSpace:
 
         `norms` is (..., size) and nonnegative; the result is (..., D) and may
         be a view of `norms`.  In one variable slot k is degree k and holds
-        one value, which is its own sum.  numpy adds fewer than eight values
-        left to right, so when every degree has fewer than eight slots one
-        padded gather, its padding set to +0.0, gives the same bits as the
-        per-degree sums.  Longer degrees, where numpy sums pairwise, are
-        summed one degree at a time, each over its block of compact columns.
+        one value, which is its own sum.  In more variables each degree is
+        summed on its own, as one slice of compact columns: numpy adds a
+        slice in an order that neither `np.add.reduceat` nor a sum along the
+        last axis of a 2-D gather reproduces bit for bit.
         """
         if self.dim == 1:
             return norms[..., 1:]
-        if self._degree_table.shape[1] < 8:
-            gathered = norms[..., self._degree_table]
-            gathered[..., self._degree_pad] = 0.0
-            return np.add.reduce(gathered, axis=-1)
         s = self.starts.tolist()
         sums = []
         for row in norms.reshape(-1, self.size):
@@ -234,11 +224,14 @@ class SeriesSpace:
     def _pairs_onto(self, b: np.ndarray):
         """The product table restricted to the pairs where b[rhs] is nonzero.
 
-        With a finite left factor, every pair left out adds a product that is
-        +0.0 or -0.0 in each part, and a sum that starts at +0.0 keeps its
-        bits under such an addition, so `_product` over these pairs equals
-        `mul` bit for bit.  A left factor with an infinity or a NaN breaks
-        this (inf * 0 is NaN), so callers pass finite left factors only.
+        A pair left out has a right factor of exactly zero, so its exact
+        product is zero.  With a finite left factor that pair adds +0.0 or
+        -0.0 in each part, and a sum that starts at +0.0 keeps its bits under
+        such an addition, so `_product` over these pairs equals `mul` bit for
+        bit.  With an infinite left factor the full table adds the NaN of
+        inf * 0, which the exact product does not hold.  So `_product` over
+        these pairs has the bits of `mul` in every slot where `mul` is
+        finite, and callers need not check their left factors.
         """
         lhs, rhs, bins = self._mul_pairs
         keep = np.flatnonzero(b[rhs])
@@ -251,10 +244,9 @@ class SeriesSpace:
     def mul_rows(self, rows: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The truncated products mul(row, b) of each row of `rows`, stacked.
 
-        One table restricted to the support of b serves every row when all
-        rows are finite; otherwise the full table does.
+        One table restricted to the support of b (`_pairs_onto`) serves every row.
         """
-        pairs = self._pairs_onto(b) if np.isfinite(rows).all() else self._mul_pairs
+        pairs = self._pairs_onto(b)
         return np.array([self._product(row, b, pairs) for row in rows])
 
     def differentiate(self, cols: np.ndarray, j: int) -> np.ndarray:
@@ -277,10 +269,9 @@ class SeriesSpace:
         the module docstring), and shared across all m output rows; the
         terms are added in compact-column order.  Each product runs over the
         pairs where its component is nonzero (`_pairs_onto`), one table per
-        component, whenever no monomial can overflow: with N(a) the sum of
-        |Re| + |Im| over the coefficients, N(ab) <= N(a) N(b), so every
-        monomial has N below max(1, N(u_i))^D, and below 2^1000 each stays
-        finite.  Otherwise every product runs over the full table, as `mul`.
+        component, so every slot where the same products over the full table
+        give a finite value has their bits; where a monomial overflows, the
+        full table would add NaNs of inf * 0 that these products leave out.
         Truncation at the space degree is inherent in the product table, so
         arguments with zero constant term produce the exact truncated
         composition.
@@ -291,10 +282,7 @@ class SeriesSpace:
         out[:, 0] = cols[:, 0]
 
         comps = np.array(components, dtype=np.complex128).reshape(-1, self.size)
-        if np.abs(comps.view(np.float64)).sum(axis=1).max() <= 2.0 ** (1000 / self.degree):
-            tables = [self._pairs_onto(comp) for comp in comps]
-        else:
-            tables = [self._mul_pairs] * len(comps)
+        tables = [self._pairs_onto(comp) for comp in comps]
         units = self.unit_compact.tolist()
         memo = {units[i]: comp for i, comp in enumerate(comps)}
         chain = self._chain

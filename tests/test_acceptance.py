@@ -114,6 +114,9 @@ def test_germ_inversion_reports_its_least_sup_slack(battery):
     detail = report["criteria"][4]["detail"]
     slack = float(detail.split("sup slack ")[1].split(",")[0])
     assert 0.0 < slack < 1.0 / 24
+    # the residual gate reads a majorant, and the detail keeps reading the
+    # largest residual coefficient
+    assert detail == "max residual coeff 3.97e-15, sup slack 0.0332, oracle gap 8.33e-17"
 
 
 def test_norm_hook_detail_does_not_depend_on_earlier_work():

@@ -211,6 +211,19 @@ def test_germ_invert_report(json_file):
     assert report["result"]["index"] == 12
 
 
+def test_germ_invert_gates_the_residual_by_its_majorant(json_file):
+    # coefficient k of this germ is 0.05 / k * 32^(k - 1), so d_norm is 0.4 at
+    # index 32; its residual's largest coefficient is 4.7e-10, above the old
+    # absolute 1e-10, while its sup majorant at index 384 is 7.5e-22
+    terms = {(k,): [0.05 / k * 32.0 ** (k - 1)] for k in range(1, 9)}
+    path = json_file(germ_to_json(Germ.from_terms(AnchorSet.origin(1), 32, [terms])), "g.json")
+    code, report = run(["germ-invert", path])
+    assert code == 0
+    assert report["residual_max"] > 1e-10
+    assert report["result"]["index"] == 384
+    assert report["sup_norm"] <= report["sup_ceiling"] == 1.0 / 192
+
+
 @pytest.mark.parametrize("pair", [["abc", 0.0], [None, 0.0]], ids=["text", "null"])
 def test_germ_invert_refuses_non_numeric_coefficients(json_file, pair):
     obj = germ_to_json(Germ.from_terms(AnchorSet.origin(1), 1, [{(2,): [0.1]}]))
@@ -244,6 +257,15 @@ def test_estimate_verify_routes(json_file):
     assert probed["guarantee"] == (
         majorants + "; probed beta_k come from finitely many directions and can only undershoot"
     )
+
+
+def test_estimate_verify_ignores_a_member_label(json_file):
+    # a member's "label" is read by nothing, as any other extra key
+    member = {"terms": [{"alpha": [1], "coeff": [[1.0, 0.0]]}], "radius": 1.0}
+    code, report = run(["estimate-verify", "--r", "0.1", json_file({"family": [member]}, "family.json")])
+    labelled = json_file({"family": [dict(member, label="geometric")]}, "labelled.json")
+    assert run(["estimate-verify", "--r", "0.1", labelled]) == (code, report)
+    assert code == 0
 
 
 def test_estimate_verify_rejects_shapeless_input(json_file):

@@ -45,9 +45,7 @@ def test_order_zero_recovers_the_value_at_the_center():
 
 def test_geometric_series_coefficient():
     # 1/(1 - x) on the 0.9 ball: every directional coefficient equals one
-    smp = AnalyticSample(
-        lambda p: 1.0 / (1.0 - p), np.zeros(1), 0.9, 10.0, label="geometric"
-    )
+    smp = AnalyticSample(lambda p: 1.0 / (1.0 - p), np.zeros(1), 0.9, 10.0)
     coef = cauchy_directional_coefficient(smp, [1.0], 0.5, 5)
     assert abs(coef[0] - 1.0) < 1e-10
 
@@ -117,18 +115,16 @@ def test_a_sup_bound_that_overflows_is_refused():
 
 
 def test_polarization_values_at_small_degrees():
-    assert polarization_factor(0) == (1.0, 1.0)
-    assert polarization_factor(1).value == 2.0
-    assert polarization_factor(2).value == 8.0
+    assert polarization_factor(0) == 1.0
+    assert polarization_factor(1) == 2.0
+    assert polarization_factor(2) == 8.0
 
 
 def test_polarization_bound_is_a_true_ceiling():
     # (2k)^k / k! <= (2e)^k, checked across the supported range
-    assert polarization_factor(2).bound == pytest.approx((2 * math.e) ** 2, rel=1e-15)
-    assert 8.0 <= polarization_factor(2).bound
+    assert 8.0 <= (2 * math.e) ** 2
     for k in range(13):
-        factor = polarization_factor(k)
-        assert factor.value <= factor.bound * (1.0 + 1e-12)
+        assert polarization_factor(k) <= (2.0 * math.e) ** k * (1.0 + 1e-12)
 
 
 def test_polarization_rejects_negative_degrees():

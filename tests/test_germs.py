@@ -25,7 +25,7 @@ from loop_references import (
 
 from lbcalc import catalog, germs
 from lbcalc.acceptance import lagrange_reversion
-from lbcalc.errors import DomainError, ValidationError
+from lbcalc.errors import DomainError, InternalCheckError, ValidationError
 from lbcalc.germs import (
     AnchorSet,
     Germ,
@@ -342,6 +342,22 @@ def test_composition_derivative_matches_the_full_products(dim, terms):
         got = compose_derivative(-g1, g2, -dg1, dg2)
         want = reference_compose_derivative_blocks(-g1, g2, -dg1, dg2)
         assert all(same_bits(block, ref) for block, ref in zip(got.coeffs, want))
+
+
+def test_an_inflated_inversion_residual_is_refused(monkeypatch):
+    # h is moved by 1e-9 at degree 1, so the residual's sup majorant at the
+    # output index 12 is about 1e-9 / 12, above 1e-10 times the ceiling 1/6
+    g = scalar_germ(1, {2: 0.1})
+    chart_inverse = SeriesSpace.chart_inverse
+
+    def inflated(sp, cols):
+        h = chart_inverse(sp, cols)
+        h[:, sp.unit_packed[0]] += 1e-9
+        return h
+
+    monkeypatch.setattr(SeriesSpace, "chart_inverse", inflated)
+    with pytest.raises(InternalCheckError, match="inversion residual"):
+        invert(g)
 
 
 def test_inversion_requires_a_small_derivative():

@@ -348,39 +348,57 @@ def _sparse_components(rng, sp):
     yield chart
 
 
+def _same_where_finite(got, want) -> bool:
+    """Equal bits in every slot where `want` is finite."""
+    finite = np.isfinite(want)
+    return same_bits(got[finite], want[finite])
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_substitution_falls_back_to_full_products_where_monomials_overflow(dim):
-    # inf * 0 is NaN, so a pair whose component slot is zero can change an
-    # overflowing product: these components take the full table, as `mul`
+def test_substitution_keeps_the_full_table_bits_where_they_are_finite(dim):
+    # monomials of degree 6 and up overflow; at the zero slots of a component
+    # the full table adds the NaN of inf * 0, which the products over the
+    # component's support leave out, and every finite slot keeps its bits
     rng = np.random.default_rng(41 + dim)
     sp = space(dim, 8)
     cols = _random_cols(rng, sp, dim, True)
     comps = [0.3 * _random_cols(rng, sp, 1, False)[0] for _ in range(dim)]
     for i, comp in enumerate(comps):
         comp[0] = 0.0
-        comp[sp.unit_packed[i]] = 1e60  # monomials of degree 6 and up overflow
+        comp[sp.unit_packed[i]] = 1e60
     with np.errstate(over="ignore", invalid="ignore"):
         got = sp.substitute(cols, comps)
         want = reference_substitute(sp, cols, comps)
-    assert not np.isfinite(want).all()
-    assert same_bits(got, want)
+    assert not np.isfinite(got).all()
+    assert np.isfinite(want[:, sp.packed[1:]]).any()
+    assert _same_where_finite(got, want)
 
 
 @pytest.mark.parametrize("dim, degree", [(1, 8), (2, 6), (3, 8)])
 def test_row_products_match_the_full_table(dim, degree):
     rng = np.random.default_rng(17 + dim)
     sp = space(dim, degree)
+    x1, top = sp.packed[1], sp.packed[-1]
     for comps in _sparse_components(rng, sp):
         rows = np.concatenate([_random_cols(rng, sp, 2, True), _random_cols(rng, sp, 2, False)])
         for b in comps:
             want = np.array([sp.mul(row, b) for row in rows])
             assert same_bits(sp.mul_rows(rows, b), want)
-            # a row with an infinity takes the full table: inf * 0 is NaN
-            rows[1, sp.packed[-1]] = np.inf
+            # an infinity at degree 1 of a row: the full table adds the NaN
+            # of inf * 0 where b is zero, and every finite slot keeps its bits
+            bad = rows.copy()
+            bad[1, x1] = np.inf
             with np.errstate(invalid="ignore"):
-                want = np.array([sp.mul(row, b) for row in rows])
-                assert same_bits(sp.mul_rows(rows, b), want)
-            rows[1, sp.packed[-1]] = 1.0
+                want = np.array([sp.mul(row, b) for row in bad])
+                assert _same_where_finite(sp.mul_rows(bad, b), want)
+            assert not np.isfinite(want).all()
+            # b has a zero constant term, so no pair over its support reads
+            # a row's top degree: an infinity there leaves no trace
+            bad = rows.copy()
+            bad[1, top] = np.inf
+            got = sp.mul_rows(bad, b)
+            bad[1, top] = 0.0
+            assert same_bits(got, np.array([sp.mul(row, b) for row in bad]))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
