@@ -15,7 +15,8 @@ The package splits into a small stack of layers:
 * ``catalog`` / ``acceptance`` / ``cli``: a frozen corpus of cases, the
   acceptance battery, and the command line front end.
 
-Everything re-exported here is stable API; the modules also expose helpers
+Everything re-exported here is the public API, though an option that no
+caller passes is removed rather than kept; the modules also expose helpers
 that may move between releases.
 """
 

@@ -111,13 +111,13 @@ def lagrange_reversion(coeffs, degree: int) -> list:
     return out
 
 
-def zeta2_tail_bracket(m: int, terms: int = 1_000_000) -> tuple:
+def zeta2_tail_bracket(m: int) -> tuple:
     """Rigorous lower/upper bounds for sum over n > m of 1/n^2.
 
-    Partial sum to m + terms, then the integral comparison brackets the
+    Partial sum to N = m + 10^6, then the integral comparison brackets the
     remainder between 1/(N+1) and 1/N.
     """
-    upper_n = m + terms
+    upper_n = m + 1_000_000
     partial = math.fsum(1.0 / (n * n) for n in range(m + 1, upper_n + 1))
     return partial + 1.0 / (upper_n + 1), partial + 1.0 / upper_n
 
@@ -125,7 +125,7 @@ def zeta2_tail_bracket(m: int, terms: int = 1_000_000) -> tuple:
 # -- criteria ----------------------------------------------------------------
 
 
-def criterion_bch_matrix_oracle(seed: int = 0) -> CriterionResult:
+def criterion_bch_matrix_oracle(seed: int) -> CriterionResult:
     """500 seeded 3x3 pairs: series BCH against log(exp x exp y), 1e-9."""
     rng = generator(seed)
     worst = 0.0
@@ -142,7 +142,7 @@ def criterion_bch_matrix_oracle(seed: int = 0) -> CriterionResult:
     )
 
 
-def criterion_exp_homomorphism(seed: int = 0) -> CriterionResult:
+def criterion_exp_homomorphism(seed: int) -> CriterionResult:
     """200 sparse series pairs: exp of the BCH combination against the product."""
     rng = generator(seed)
     probes = (0.0 + 0.0j, 1.0 + 0.5j, 2.0 - 1.0j)
@@ -161,7 +161,7 @@ def criterion_exp_homomorphism(seed: int = 0) -> CriterionResult:
     )
 
 
-def criterion_bracket_axioms(seed: int = 0) -> CriterionResult:
+def criterion_bracket_axioms(seed: int) -> CriterionResult:
     """10^4 samples: antisymmetry exact, Jacobi <= 1e-12, submultiplicative norms."""
     rng = generator(seed)
     jac_worst = 0.0
@@ -189,7 +189,7 @@ def criterion_bracket_axioms(seed: int = 0) -> CriterionResult:
     )
 
 
-def criterion_bonding_contraction(seed: int = 0) -> CriterionResult:
+def criterion_bonding_contraction(seed: int) -> CriterionResult:
     """10^4 samples: norm_t <= norm_s whenever t > s."""
     rng = generator(seed)
     bad = 0
@@ -206,7 +206,7 @@ def criterion_bonding_contraction(seed: int = 0) -> CriterionResult:
     )
 
 
-def criterion_germ_inversion(seed: int = 0) -> CriterionResult:
+def criterion_germ_inversion(seed: int) -> CriterionResult:
     """10^3 germs, dims 1-3: residual below 1e-10, sup bound 1/(6n), oracle match."""
     rngs = spawn(seed, 4)
     worst_res = 0.0
@@ -254,7 +254,7 @@ def criterion_germ_inversion(seed: int = 0) -> CriterionResult:
     )
 
 
-def criterion_composition_derivative(seed: int = 0) -> CriterionResult:
+def criterion_composition_derivative(seed: int) -> CriterionResult:
     """compose_derivative against central differences, 100 quadruples."""
     rng = generator(seed)
     h = 1e-5
@@ -283,7 +283,7 @@ def criterion_composition_derivative(seed: int = 0) -> CriterionResult:
     )
 
 
-def criterion_series_bound_suite(seed: int = 0) -> CriterionResult:
+def criterion_series_bound_suite(seed: int) -> CriterionResult:
     """Zero false verdicts on the 50-family corpus; exact monomial recovery."""
     false_verdicts = 0
     routes = {"majorants": 0, "probed": 0, "mixed": 0}
@@ -316,7 +316,7 @@ def criterion_series_bound_suite(seed: int = 0) -> CriterionResult:
     )
 
 
-def criterion_certificate_hammer(seed: int = 0) -> CriterionResult:
+def criterion_certificate_hammer(seed: int) -> CriterionResult:
     """All 20 registry maps: 10^4 samples inside the certificate, margin > 0."""
     bad = []
     for case in catalog.map_registry():
@@ -331,7 +331,7 @@ def criterion_certificate_hammer(seed: int = 0) -> CriterionResult:
     )
 
 
-def criterion_regularity_moduli(seed: int = 0) -> CriterionResult:
+def criterion_regularity_moduli(seed: int) -> CriterionResult:
     """Constant and cutoff against oracles; adversarial single-frequency sweep."""
     from .limits import GERM_CONSTANT
 
@@ -361,7 +361,7 @@ def criterion_regularity_moduli(seed: int = 0) -> CriterionResult:
     )
 
 
-def criterion_norm_comparison_hook(seed: int = 0) -> CriterionResult:
+def criterion_norm_comparison_hook(seed: int) -> CriterionResult:
     """Every germ construction runs the sup <= (1/n) d comparison hook."""
     start = norm_check_stats["checked"]
     rng = generator(seed)

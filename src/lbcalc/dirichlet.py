@@ -206,12 +206,6 @@ def zero_series(dim: int) -> DirichletSeries:
     return DirichletSeries(np.zeros(0, dtype=np.int64), None, dim=dim)
 
 
-def embed(a) -> DirichletSeries:
-    """Constant series a * 1^(-z); isometric for every half-plane norm."""
-    arr = as_matrix(a)
-    return DirichletSeries(np.array([1], dtype=np.int64), arr[None, :, :])
-
-
 def term_norms(freqs: np.ndarray, mats: np.ndarray, s: float) -> list:
     """compatible_norm(a_n) * n^(-s) per term, in the order given.
 

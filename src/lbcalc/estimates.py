@@ -17,8 +17,8 @@ family.  Two routes produce the beta_k:
   block and the sample is called once per node; the weighted values are
   added node by node with one np.add.accumulate.  Samples read off a series
   evaluate it through `SeriesSpace.evaluator`, which gathers its
-  coefficients and its center once per sample, so a node costs one pass
-  along the monomial chains and one dot product.
+  coefficients and its center once per sample, so a node costs one
+  conversion, one pass along the monomial chains and one dot product.
 
 The probe maximum over finitely many directions can only undershoot the true
 directional sup, and the stored majorants dominate the homogeneous sups they
@@ -54,10 +54,10 @@ _E_HIGH = _E_LOW + Fraction(1, 20 * math.factorial(20))
 class AnalyticSample:
     """One map of the family: black-box evaluator plus certified metadata.
 
-    evaluator maps a point of C^d to a vector of C^d; sup_bound must
-    dominate the true sup of the max-component norm on B_R(center).  When
-    `majorants` is present, majorants[k] bounds the degree-k coefficient sum
-    and the verifier skips probing for this sample.
+    evaluator maps a point of C^d, as the caller gives it, to a vector of
+    C^d; sup_bound must dominate the true sup of the max-component norm on
+    B_R(center).  When `majorants` is present, majorants[k] bounds the
+    degree-k coefficient sum and the verifier skips probing for this sample.
     """
 
     evaluator: object
@@ -84,7 +84,7 @@ class AnalyticSample:
         return self.center.size
 
     def __call__(self, point) -> np.ndarray:
-        value = self.evaluator(np.asarray(point, dtype=np.complex128).reshape(-1))
+        value = self.evaluator(point)
         return np.asarray(value, dtype=np.complex128).reshape(-1)
 
 

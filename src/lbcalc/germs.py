@@ -226,15 +226,6 @@ def zero_germ(anchors, index: int, degree: int = DEFAULT_DEGREE) -> Germ:
     return Germ(anchors, index, blocks, degree)
 
 
-def with_index(g: Germ, index: int) -> Germ:
-    """Restriction to a finer ball: same coefficients, larger index."""
-    if index < g.index:
-        raise DomainError(
-            f"restriction only goes to larger indices, {index} < {g.index}"
-        )
-    return Germ(g.anchors, index, g.coeffs, g.degree)
-
-
 # -- norms ----------------------------------------------------------------
 
 
@@ -258,8 +249,8 @@ def _majorants(sp, stack: np.ndarray, rho: float) -> tuple:
                 s += t * rho
                 d += k * t
             rho_pow *= rho
-        sup = max(sup, s)
-        dval = max(dval, d)
+        sup = s if s > sup or s != s else sup  # keeps a NaN, which max() drops
+        dval = d if d > dval or d != d else dval
     return sup, dval
 
 
@@ -416,7 +407,7 @@ def invert(g: Germ) -> Germ:
     blocks = [sp.chart_inverse(cols) for cols in g.coeffs]
     defects = [sp.chart_compose(cols, h) for cols, h in zip(g.coeffs, blocks)]
     worst = _majorants(sp, np.array(defects), 1.0 / out_index)[0]
-    if worst > _RESIDUAL_TOL * ceiling:
+    if not worst <= _RESIDUAL_TOL * ceiling:  # a NaN defect fails
         raise InternalCheckError(
             f"inversion residual sup_norm {worst} at index {out_index} exceeds {_RESIDUAL_TOL * ceiling}"
         )

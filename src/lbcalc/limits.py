@@ -30,14 +30,19 @@ import numpy as np
 
 from .dirichlet import DirichletSeries, norm_s, ordered_sum, sum_series, term_norms, zero_series
 from .errors import DomainError, InternalCheckError, ValidationError
-from .germs import DEFAULT_DEGREE, AnchorSet, Germ, degree_majorants, norms_at_index, sum_germs, zero_germ
+from .germs import AnchorSet, Germ, degree_majorants, norms_at_index, sum_germs, zero_germ
 from .jsonio import fields, integer, numbers
 from .matrices import compatible_norm
-from .sampling import frequency_pool, generator, random_germ, random_matrix, random_series
+from .sampling import generator, random_germ, random_matrix, random_series
 
 DEFAULT_SAMPLES = 1000
 GERM_CONSTANT = 3.0 / (3.0 - math.e)  # the overhead R/(R - 2er) at r/R = 1/6
 _DRAW_SHAVE = 1.0 - 1e-12  # keeps rescaled draws strictly under their radius
+# each step draws STEP_SERIES_TERMS frequencies from STEP_FREQUENCIES, or a
+# germ of the default degree with STEP_GERM_TERMS terms per anchor
+STEP_FREQUENCIES = np.arange(1, 9, dtype=np.int64)
+STEP_SERIES_TERMS = 3
+STEP_GERM_TERMS = 6
 
 
 # -- step scales ------------------------------------------------------------
@@ -68,19 +73,15 @@ class MatrixSteps:
 class DirichletSteps:
     """Step j carries the half-plane norm at s = j; bondings contract."""
 
-    def __init__(self, dim: int, freq_pool=(1, 2, 3, 4, 5, 6, 7, 8), terms: int = 3):
+    def __init__(self, dim: int):
         self.dim = integer(dim, "series dimension", 1)
-        self.freq_pool = pool = frequency_pool(sorted(set(freq_pool)))  # sorted and checked once
-        self.terms = integer(terms, "terms", 1)
-        if terms > pool.size:
-            raise ValidationError(f"cannot draw {terms} distinct frequencies from {pool.size}")
 
     def norm(self, j: int, x: DirichletSeries) -> float:
         return norm_s(x, float(j))
 
     def random(self, j: int, rng, target: float) -> DirichletSeries:
         return random_series(
-            rng, self.dim, self.freq_pool, self.terms, s=float(j), target=target
+            rng, self.dim, STEP_FREQUENCIES, STEP_SERIES_TERMS, s=float(j), target=target
         )
 
     def zero(self) -> DirichletSeries:
@@ -93,21 +94,17 @@ class DirichletSteps:
 class GermSteps:
     """Step j holds germs at index j, measured by the sup majorant there."""
 
-    def __init__(self, anchors: AnchorSet, degree: int = DEFAULT_DEGREE, terms: int = 6):
+    def __init__(self, anchors: AnchorSet):
         self.anchors = anchors
-        self.degree = integer(degree, "truncation degree", 1)
-        self.terms = integer(terms, "terms", 1)
 
     def norm(self, j: int, g: Germ) -> float:
         return norms_at_index(g, j)[0]
 
     def random(self, j: int, rng, target: float) -> Germ:
-        return random_germ(
-            rng, self.anchors, j, degree=self.degree, terms=self.terms, sup_target=target
-        )
+        return random_germ(rng, self.anchors, j, terms=STEP_GERM_TERMS, sup_target=target)
 
     def zero(self) -> Germ:
-        return zero_germ(self.anchors, 1, self.degree)
+        return zero_germ(self.anchors, 1)
 
     def combine(self, terms):
         terms = list(terms)
@@ -320,7 +317,6 @@ class RegularityModulus:
     delta: float
     epsilon: float
     constant: float | None = None   # D, germ scale only
-    budget: tuple | None = None     # degree sups s_k, germ scale only
 
     def to_json(self) -> dict:
         out = {
@@ -334,8 +330,6 @@ class RegularityModulus:
         }
         if self.constant is not None:
             out["constant"] = self.constant
-        if self.budget is not None:
-            out["budget"] = list(self.budget)
         return out
 
 
@@ -371,8 +365,10 @@ def dirichlet_regularity_modulus(s: int, epsilon: float, u: int) -> RegularityMo
 
     t = s + 2; n0 is the minimal integer with sum over n > n0 of 1/n^2
     strictly below epsilon/4, decided in rationals (`_zeta2_tail_below`); an
-    epsilon too close to 4 times a tail to decide is refused.  delta =
-    n0^(t-u) * epsilon/2.  The companion checker is check_dirichlet_regularity.
+    epsilon too close to 4 times a tail to decide is refused, and so is one
+    whose cutoff passes the float range or whose delta underflows to 0.
+    delta = n0^(t-u) * epsilon/2.  The companion checker is
+    check_dirichlet_regularity.
     """
     if not isinstance(s, int) or not isinstance(u, int):
         raise ValidationError("half-plane indices must be integers")
@@ -382,14 +378,19 @@ def dirichlet_regularity_modulus(s: int, epsilon: float, u: int) -> RegularityMo
     if u < t:
         raise DomainError(f"the fine index u = {u} must be at least s + 2 = {t}")
     quarter = epsilon / 4.0
-    # tail(m) > 1/(m+1), so nothing below this start can satisfy the cut
-    m = max(0, math.ceil(1.0 / quarter) - 2)
+    if not (quarter > 0.0 and 1.0 / quarter < math.inf):
+        raise DomainError(f"the cutoff n0 > 4/epsilon - 2 lies beyond the float range for epsilon = {epsilon}")
+    # tail(m) > 1/(m+1), so nothing below this start can satisfy the cut; it
+    # is exact, since a float 1/quarter above 2^53 is off by more than 1
+    m = max(0, math.ceil(1 / Fraction(quarter)) - 2)
     while not _zeta2_tail_below(m, quarter):
         m += 1
     if m > 0 and _zeta2_tail_below(m - 1, quarter):
         raise InternalCheckError(f"cutoff scan overshot minimality at n0 = {m}")
     n0 = m
     delta = float(n0) ** (t - u) * epsilon / 2.0 if n0 > 0 else epsilon / 2.0
+    if not delta > 0.0:
+        raise DomainError(f"delta = n0^(t-u) epsilon/2 underflows to 0 at n0 = {n0}; raise epsilon or lower u")
     return RegularityModulus(
         scale="dirichlet",
         source=s,
@@ -418,8 +419,8 @@ def check_dirichlet_regularity(mod: RegularityModulus, gamma: DirichletSeries) -
         raise DomainError(
             f"the checker assumes norm_u < delta = {mod.delta}, got {fine}"
         )
-    target_norm = norm_s(gamma, float(mod.target))
     terms = list(zip(term_norms(gamma.freqs, gamma.mats, float(mod.target)), gamma.freqs.tolist()))
+    target_norm = ordered_sum(t for t, _ in terms)  # norm_s at the target, summed once
     head = ordered_sum(t for t, n in terms if n <= mod.cutoff)
     tail = ordered_sum(t for t, n in terms if n > mod.cutoff)
     half = mod.epsilon / 2.0
@@ -450,17 +451,14 @@ def check_dirichlet_regularity(mod: RegularityModulus, gamma: DirichletSeries) -
     }
 
 
-def germ_regularity_modulus(
-    n: int, epsilon: float, l: int, budget=None
-) -> RegularityModulus:
+def germ_regularity_modulus(n: int, epsilon: float, l: int) -> RegularityModulus:
     """Explicit (m, k0, delta, D) for the germ scale.
 
-    m = 6n and D = 3/(3-e).  budget is the sequence of degree sups s_k
-    (k >= 1) the caller certifies for their family, each at most 2D; omitted
-    it defaults to the constant geometric budget s_k = 2D (1 - 1/(6n)),
-    whose tails have the closed form 2D (1/(6n))^(k0+1).  k0 is the minimal
-    integer with sum over k > k0 of s_k (1/(6n))^k strictly below epsilon/2,
-    and delta = (1/D) (n/l)^k0 epsilon/2.
+    m = 6n and D = 3/(3-e).  The degree sups s_k (k >= 1) of the family are
+    budgeted at the constant level 2D (1 - 1/(6n)), so the tail past k0 has
+    the closed form 2D (1/(6n))^(k0+1).  k0 is the minimal integer with that
+    tail strictly below epsilon/2, and delta = (1/D) (n/l)^k0 epsilon/2; an
+    epsilon whose half or delta underflows to 0 is refused.
     """
     if not isinstance(n, int) or n < 1:
         raise ValidationError(f"the source index must be a positive integer, got {n!r}")
@@ -472,33 +470,14 @@ def germ_regularity_modulus(
     q = 1.0 / m
     cap = 2.0 * GERM_CONSTANT
     half = epsilon / 2.0
-    if budget is None:
-        # constant budget s_k = 2D (1 - q) turns the tail into 2D q^(k0+1)
-        k0 = 0
-        while not cap * q ** (k0 + 1) < half:
-            k0 += 1
-        stored = None
-    else:
-        sups = [float(x) for x in budget]
-        if any(not (x >= 0 and math.isfinite(x)) for x in sups):
-            raise ValidationError("budget entries must be finite and nonnegative")
-        for k, x in enumerate(sups, start=1):
-            if x > cap * (1.0 + 1e-12):
-                raise DomainError(
-                    f"budget entry s_{k} = {x} exceeds the ceiling 2D = {cap}"
-                )
-        k0 = 0
-        while True:
-            tail = math.fsum(
-                sk * q**k for k, sk in enumerate(sups, start=1) if k > k0
-            )
-            if tail < half:
-                break
-            k0 += 1
-            if k0 > len(sups):
-                raise InternalCheckError("cutoff scan ran past the budget length")
-        stored = tuple(sups)
+    if not half > 0.0:
+        raise DomainError(f"epsilon/2 underflows to 0 for epsilon = {epsilon}")
+    k0 = 0
+    while not cap * q ** (k0 + 1) < half:
+        k0 += 1
     delta = (1.0 / GERM_CONSTANT) * (float(n) / float(l)) ** k0 * half
+    if not delta > 0.0:
+        raise DomainError(f"delta = (1/D) (n/l)^k0 epsilon/2 underflows to 0 at k0 = {k0}; raise epsilon or lower l")
     return RegularityModulus(
         scale="germ",
         source=n,
@@ -508,16 +487,15 @@ def germ_regularity_modulus(
         delta=delta,
         epsilon=float(epsilon),
         constant=GERM_CONSTANT,
-        budget=stored,
     )
 
 
 def check_germ_regularity(mod: RegularityModulus, g: Germ) -> dict:
     """Run the germ modulus on one germ and certify the target-index bound.
 
-    Requires the degree sups of g to stay within the modulus budget, the sup
-    majorant at the fine index l to be below delta, and (the family gate)
-    the sup at the source index to be at most 2.  Concludes that the sup
+    Requires each degree sup h_k of g to stay within the budget level
+    2D (1 - 1/m), the sup majorant at the fine index l to be below delta,
+    and (the family gate) the sup at the source index to be at most 2.  Concludes that the sup
     majorant at m = 6n is below epsilon and verifies that directly.
     """
     if mod.scale != "germ":
@@ -529,17 +507,11 @@ def check_germ_regularity(mod: RegularityModulus, g: Germ) -> dict:
         )
     h = degree_majorants(g)
     q = 1.0 / m
-    cap = 2.0 * GERM_CONSTANT
-    if mod.budget is None:
-        level = cap * (1.0 - q)
-        budget = [level] * (len(h) - 1)
-    else:
-        budget = list(mod.budget)
+    level = 2.0 * GERM_CONSTANT * (1.0 - q)
     for k in range(1, len(h)):
-        sk = budget[k - 1] if k - 1 < len(budget) else 0.0
-        if h[k] > sk * (1.0 + 1e-12):
+        if h[k] > level * (1.0 + 1e-12):
             raise DomainError(
-                f"degree-{k} coefficient sum {h[k]} exceeds the budget {sk}"
+                f"degree-{k} coefficient sum {h[k]} exceeds the budget {level}"
             )
     source_sup = norms_at_index(g, n)[0]
     if source_sup > 2.0:

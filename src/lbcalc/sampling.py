@@ -79,7 +79,7 @@ def random_series(
     """Sparse random series with `terms` distinct frequencies from the pool.
 
     The pool lists integer frequencies in strictly increasing order, as
-    `DirichletSteps` keeps it.  With a target, the norm is taken on the raw
+    `limits.STEP_FREQUENCIES` does.  With a target, the norm is taken on the raw
     draw and the raw coefficients are rescaled, so the series is built once.
     """
     pool = frequency_pool(freq_pool)
@@ -98,20 +98,20 @@ def random_germ(
     rng: np.random.Generator,
     anchors: AnchorSet,
     index: int,
-    degree: int = DEFAULT_DEGREE,
     terms: int = 12,
     d_target: float | None = None,
     sup_target: float | None = None,
 ) -> Germ:
     """Random sparse germ, optionally rescaled to a d_norm or sup_norm target.
 
-    Each anchor gets min(terms, slots) terms.  With a target, the majorant is
+    The degree is DEFAULT_DEGREE, the one every caller draws at.  Each anchor
+    gets min(terms, slots) terms.  With a target, the majorant is
     taken on the raw blocks and the raw blocks are rescaled, so the germ is
     built (and hook-checked) once.
     """
     if d_target is not None and sup_target is not None:
         raise ValidationError("give at most one of d_target and sup_target")
-    sp = space(anchors.dim, degree)
+    sp = space(anchors.dim, DEFAULT_DEGREE)
     valid = sp.nonconstant
     take = min(integer(terms, "terms", 1), valid.size)
     blocks = np.zeros((len(anchors), anchors.dim, sp.size), dtype=np.complex128)
@@ -119,7 +119,7 @@ def random_germ(
         slots = rng.choice(valid, size=take, replace=False)
         cols[:, slots] = _complex_normal(rng, (anchors.dim, take))
     if sup_target is not None or d_target is not None:
-        sup, dval = block_majorants(anchors, index, blocks, degree)
+        sup, dval = block_majorants(anchors, index, blocks, DEFAULT_DEGREE)
         scale = _factor(sup_target, sup) if d_target is None else _factor(d_target, dval)
         blocks = complex(scale) * blocks
-    return Germ(anchors, index, blocks, degree)
+    return Germ(anchors, index, blocks)

@@ -302,10 +302,11 @@ class SeriesSpace:
         """The map x -> value of the series `cols` at x - center.
 
         The compact columns of `cols` are gathered and the center is taken
-        out as Python complexes once, when the map is made.  Each call builds
-        the monomials of x - center along the parent chains, one scalar
-        product per live slot in compact-column order, and returns their dot
-        product with the gathered columns.
+        out as Python complexes once, when the map is made.  Each call
+        converts x, the only conversion of a contour node, builds the
+        monomials of x - center along the parent chains, one scalar product
+        per live slot in compact-column order, and returns their dot product
+        with the gathered columns.
         """
         compact = cols[:, self.packed]
         center = np.broadcast_to(np.asarray(center, dtype=np.complex128), (self.dim,)).tolist()

@@ -16,7 +16,9 @@ small-object kernels of the certificate hammer as they were before their
 per-call overhead was cut: the majorant loop over per-degree numpy sums,
 the canonical form of a Dirichlet series with its scatter by inverse
 permutation, and the complex normal draw taken in two calls.  The tests
-require the new code to agree with them bit for bit.
+require the new code to agree with them bit for bit.  The complex normal
+draw also draws germs of any degree, as `sampling.random_germ` draws them
+at its one degree, for the tests that sweep degrees.
 """
 
 import math
@@ -27,6 +29,7 @@ from itertools import product
 import numpy as np
 
 from lbcalc.dirichlet import DirichletSeries, _bracket_terms, zero_series
+from lbcalc.germs import Germ
 from lbcalc.matrices import commutator
 from lbcalc.series import space
 from lbcalc.words import evaluation_plan
@@ -254,3 +257,14 @@ def reference_canonical(freqs, mats, dim):
 def reference_complex_normal(rng, shape):
     """Real parts in one call, imaginary parts in the next."""
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def random_germ_of_degree(rng, anchors, index, degree, terms):
+    """A random sparse germ of the given degree, drawn as `random_germ` draws one without a target."""
+    sp = space(anchors.dim, degree)
+    take = min(terms, sp.nonconstant.size)
+    blocks = np.zeros((len(anchors), anchors.dim, sp.size), dtype=np.complex128)
+    for cols in blocks:
+        slots = rng.choice(sp.nonconstant, size=take, replace=False)
+        cols[:, slots] = reference_complex_normal(rng, (anchors.dim, take))
+    return Germ(anchors, index, blocks, degree)

@@ -472,6 +472,40 @@ def test_modulus_germ_verb(json_file):
     assert report["check"]["verdict"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, quantity",
+    [
+        (["modulus-dirichlet", "--s", "1", "--epsilon", "5e-324", "--u", "10"], "beyond the float range"),
+        (["modulus-dirichlet", "--s", "1", "--epsilon", "1e-310", "--u", "10"], "beyond the float range"),
+        (["modulus-dirichlet", "--s", "1", "--epsilon", "0.1", "--u", "400"], "delta = n0^(t-u) epsilon/2 underflows"),
+        (["modulus-germ", "--n", "1", "--epsilon", "1e-300", "--l", "1000"], "delta = (1/D) (n/l)^k0 epsilon/2 underflows"),
+    ],
+    ids=["dirichlet-quarter-underflows", "dirichlet-cutoff-overflows", "dirichlet-delta-underflows",
+         "germ-delta-underflows"],
+)
+def test_moduli_refuse_an_epsilon_the_float_range_cannot_carry(argv, quantity):
+    # a traceback before (ZeroDivisionError, OverflowError), or a vacuous delta of 0.0
+    code, report = run(argv)
+    assert code == 3
+    assert quantity in report["error"]
+
+
+def test_the_germ_modulus_refuses_an_epsilon_whose_half_underflows():
+    # epsilon/2 rounds to 0.0, below which the cutoff scan never ended; the
+    # subprocess's timeout fails the test if it hangs
+    code, out, err = run_process(["modulus-germ", "--n", "1", "--epsilon", "5e-324", "--l", "6"])
+    assert code == 3 and err == ""
+    assert "epsilon/2 underflows to 0" in json.loads(out)["error"]
+
+
+def test_the_dirichlet_modulus_ends_for_a_tiny_epsilon():
+    # a float start 1/(epsilon/4) lay far below the cutoff 4e200, and the
+    # scan stepped up from it one integer at a time
+    code, out, err = run_process(["modulus-dirichlet", "--s", "1", "--epsilon", "1e-200", "--u", "3"])
+    assert code == 0 and err == ""
+    assert 3.99e200 < json.loads(out)["cutoff"] < 4.01e200
+
+
 # -- global contracts -------------------------------------------------------------
 
 

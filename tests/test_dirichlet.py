@@ -15,7 +15,6 @@ from lbcalc.dirichlet import (
     _canonical,
     bch_series,
     bracket,
-    embed,
     evaluate,
     exp_pointwise,
     leading_coefficient,
@@ -67,8 +66,13 @@ def test_empty_series_needs_a_dimension():
 # -- half-plane norms ----------------------------------------------------------
 
 
+def constant(a):
+    """The constant series a * 1^(-z); each of its half-plane norms is the norm of a."""
+    return DirichletSeries.from_terms({1: a})
+
+
 def test_constant_series_norm_is_the_coefficient_norm():
-    g = embed(A)
+    g = constant(A)
     for s in (-2.0, 0.0, 1.0, 7.5):
         assert norm_s(g, s) == compatible_norm(A)
 
@@ -103,7 +107,7 @@ def test_bracket_with_itself_is_empty():
 
 
 def test_bracket_of_constants_embeds_the_commutator():
-    got = bracket(embed(A), embed(B))
+    got = bracket(constant(A), constant(B))
     assert list(got.freqs) == [1]
     assert np.array_equal(got.terms()[1], commutator(A, B))
 
@@ -163,7 +167,7 @@ def test_bracket_norm_is_submultiplicative():
 
 def test_constant_series_evaluates_to_its_coefficient():
     for z in (0.0, 2.0, 1.0 + 3.0j):
-        assert np.array_equal(evaluate(embed(A), z), A)
+        assert np.array_equal(evaluate(constant(A), z), A)
 
 
 def test_single_frequency_two_term_halves_at_one():
@@ -191,7 +195,7 @@ def test_combination_with_zero_series_is_identity():
 
 
 def test_combination_of_constants_embeds_the_matrix_combination():
-    out = bch_series(embed(0.25 * A), embed(0.25 * B), 0.0, 6)
+    out = bch_series(constant(0.25 * A), constant(0.25 * B), 0.0, 6)
     assert list(out.freqs) == [1]
     want = bch(0.25 * A, 0.25 * B, 6)
     assert np.max(np.abs(out.terms()[1] - want)) < 1e-15
@@ -233,7 +237,7 @@ def test_combination_on_a_wide_support_matches_the_matrix_oracle():
 
 
 def test_combination_domain_gate_quotes_the_bound():
-    heavy = embed(np.eye(2))
+    heavy = constant(np.eye(2))
     with pytest.raises(DomainError, match=r"log\(3/2\)"):
         bch_series(heavy, heavy, 0.0, 4)
 
@@ -254,7 +258,7 @@ def test_exp_of_the_zero_series():
 
 
 def test_exp_of_a_constant_series():
-    got = exp_pointwise(embed(A), 4.0)
+    got = exp_pointwise(constant(A), 4.0)
     assert np.max(np.abs(got - mat_exp(A))) == 0.0
 
 
@@ -265,7 +269,7 @@ def test_exp_of_a_nilpotent_term():
 
 
 def test_leading_coefficient_of_a_constant():
-    lead = leading_coefficient(embed(A), 5.0)
+    lead = leading_coefficient(constant(A), 5.0)
     assert np.array_equal(lead.value, A)
     assert lead.tail_bound == 0.0
 
@@ -289,7 +293,7 @@ def test_leading_coefficient_probe_stays_within_its_tail_bound():
 
 def test_leading_probe_rejects_small_abscissas():
     with pytest.raises(DomainError, match="below the minimum"):
-        leading_coefficient(embed(A), 1.0)
+        leading_coefficient(constant(A), 1.0)
 
 
 # -- serialization ----------------------------------------------------------------
@@ -306,7 +310,7 @@ def test_series_json_rejects_bad_schemas():
     with pytest.raises(ValidationError):
         series_from_json({"dim": 2})
     with pytest.raises(ValidationError):
-        series_from_json({"dim": 2, "terms": [{"n": 0, "coeff": series_to_json(embed(A))["terms"][0]["coeff"]}]})
+        series_from_json({"dim": 2, "terms": [{"n": 0, "coeff": series_to_json(constant(A))["terms"][0]["coeff"]}]})
 
 
 # -- fast paths against direct references ---------------------------------------
@@ -491,7 +495,7 @@ def test_series_arrays_are_read_only():
     rng = generator(7)
     g1 = random_series(rng, 2, (2, 3, 5), 3)
     g2 = random_series(rng, 2, (2, 3, 5), 3)
-    built = [g1, DirichletSeries(g1.freqs, g1.mats), 2.0 * g1, g1 + g2, bracket(g1, g2), embed(np.eye(2))]
+    built = [g1, DirichletSeries(g1.freqs, g1.mats), 2.0 * g1, g1 + g2, bracket(g1, g2), constant(np.eye(2))]
     for g in built:
         assert g.support
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from loop_references import reference_cauchy_coefficient, same_bits
+from loop_references import random_germ_of_degree, reference_cauchy_coefficient, same_bits
 
 from lbcalc.errors import DomainError, ValidationError
 from lbcalc.estimates import (
@@ -86,7 +86,7 @@ def test_node_block_matches_the_node_by_node_sum(dim, quadrature):
     # terms added by np.add.accumulate after a zero row: the loop's bits
     rng = generator(20 + dim)
     center = 0.5 + 0.25j * np.arange(dim)
-    g = random_germ(rng, AnchorSet([center]), 2, degree=8, terms=12)
+    g = random_germ(rng, AnchorSet([center]), 2, terms=12)
     terms = {alpha: rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
              for alpha in space(dim, 8).alphas if rng.random() < 0.3}
     samples = [
@@ -103,6 +103,15 @@ def test_node_block_matches_the_node_by_node_sum(dim, quadrature):
             for k in range(9):
                 got = cauchy_directional_coefficient(smp, v, s, k, quadrature)
                 assert same_bits(got, reference_cauchy_coefficient(smp, v, s, k, quadrature))
+
+
+def test_a_sample_hands_the_node_to_its_evaluator_as_given():
+    # the series evaluator converts the node; the sample does not convert it first
+    seen = []
+    smp = AnalyticSample(lambda p: seen.append(p) or p, np.zeros(2), 1.0, 1.0)
+    node = np.array([0.1 + 0.2j, -0.3j])
+    assert same_bits(smp(node), node)
+    assert len(seen) == 1 and seen[0] is node
 
 
 # -- polarization -------------------------------------------------------------
@@ -293,7 +302,7 @@ def test_wrappers_match_the_per_degree_loop(dim, degree):
         smp = sample_from_polynomial(terms, np.zeros(dim), 0.7, degree=degree)
         want = _loop_majorants(sp.from_terms(terms, dim), degree, 0.7, first=0)
         assert (smp.majorants, smp.sup_bound) == want
-        g = random_germ(rng, AnchorSet.origin(dim), 3, degree=degree, terms=12)
+        g = random_germ_of_degree(rng, AnchorSet.origin(dim), 3, degree, 12)
         smp = sample_from_germ(g)
         want = _loop_majorants(g.coeffs[0], degree, 1.0 / 3, first=1)
         assert (smp.majorants, smp.sup_bound) == want
@@ -326,7 +335,7 @@ def test_a_nan_majorant_is_refused(bad):
 @pytest.mark.parametrize("dim, degree, quadrature", [(1, 8, 32), (2, 3, 8), (3, 2, 4)])
 def test_a_probe_calls_the_sample_once_per_node(monkeypatch, dim, degree, quadrature):
     # 3d directions, D + 1 degrees and Q nodes each: 3d (D + 1) Q calls
-    g = random_germ(generator(dim), AnchorSet.origin(dim), 2, degree=8, terms=6, d_target=0.3)
+    g = random_germ(generator(dim), AnchorSet.origin(dim), 2, terms=6, d_target=0.3)
     blind = dataclasses.replace(sample_from_germ(g), majorants=None)
     calls = []
     original = AnalyticSample.__call__

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from loop_references import (
     chart_components,
+    random_germ_of_degree,
     reference_compose_derivative_blocks,
     reference_inverse_blocks,
     reference_majorants,
@@ -43,7 +44,6 @@ from lbcalc.germs import (
     residual,
     sum_germs,
     sup_norm,
-    with_index,
     zero_germ,
 )
 from lbcalc.sampling import generator, random_germ
@@ -127,12 +127,23 @@ def test_sup_majorant_shrinks_with_the_index():
 
 
 def test_restriction_moves_to_a_finer_index():
+    # restriction keeps the coefficients and takes a larger index
     g = scalar_germ(2, {2: 1.0})
-    fine = with_index(g, 8)
-    assert fine.index == 8
-    assert sup_norm(fine) == 1.0 / 64.0
-    with pytest.raises(DomainError):
-        with_index(g, 1)
+    fine = Germ(g.anchors, 8, g.coeffs, g.degree)
+    assert sup_norm(fine) == norms_at_index(g, 8)[0] == 1.0 / 64.0
+
+
+def test_majorants_keep_a_nan():
+    # max(0.0, nan) is 0.0: a NaN coefficient read as a majorant of 0
+    sp = space(1, 8)
+    block = np.zeros((1, 1, sp.size), dtype=np.complex128)
+    block[0, 0, 2] = np.nan
+    assert all(math.isnan(x) for x in block_majorants(ORIGIN1, 2, block, 8))
+    # a NaN at the first anchor outlasts a finite majorant at the next one
+    blocks = np.zeros((2, 1, sp.size), dtype=np.complex128)
+    blocks[0, 0, 2] = np.nan
+    blocks[1, 0, 1] = 0.1
+    assert all(math.isnan(x) for x in block_majorants(AnchorSet([[0.0], [0.5]]), 5, blocks, 8))
 
 
 # -- composition ------------------------------------------------------------------
@@ -271,7 +282,7 @@ def test_residual_collapses_on_zero_arguments():
 
 def _family(seed, dim, count, terms, index, d_target):
     anchors = AnchorSet([np.zeros(dim), np.full(dim, 3.0)][:count])
-    return random_germ(generator(seed), anchors, index, degree=8, terms=terms, d_target=d_target)
+    return random_germ(generator(seed), anchors, index, terms=terms, d_target=d_target)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -367,6 +378,13 @@ def test_inversion_requires_a_small_derivative():
         invert(g)
 
 
+def test_a_nan_inversion_defect_fails_the_gate(monkeypatch):
+    g = scalar_germ(1, {2: 0.1})
+    monkeypatch.setattr(SeriesSpace, "chart_compose", lambda self, a, b: np.full_like(a, np.nan))
+    with pytest.raises(InternalCheckError, match="inversion residual sup_norm nan"):
+        invert(g)
+
+
 # -- derivative growth -------------------------------------------------------------
 
 
@@ -451,7 +469,7 @@ def test_stacked_majorants_match_the_per_degree_loop(dim, degree):
     rng = generator(31)
     anchors = AnchorSet([np.zeros(dim), np.full(dim, 1.0)])
     for _ in range(20):
-        g = random_germ(rng, anchors, 3, degree=degree, terms=40)
+        g = random_germ_of_degree(rng, anchors, 3, degree, 40)
         g = Germ(anchors, 3, [c * 10.0 ** rng.integers(-6, 7, c.shape) for c in g.coeffs], degree)
         for index in (3, 4, 7):
             sup, dval, h = reference_majorants(space(dim, degree), g.coeffs, 1.0 / index)
@@ -492,7 +510,7 @@ def test_coefficients_are_read_only():
 
 def test_germ_sum_matches_a_fold_of_additions():
     rng = generator(51)
-    terms = [random_germ(rng, ORIGIN2, j, degree=5, terms=8) for j in (1, 2, 3, 2)]
+    terms = [random_germ_of_degree(rng, ORIGIN2, j, 5, 8) for j in (1, 2, 3, 2)]
     folded = terms[0]
     for g in terms[1:]:
         folded = folded + g
@@ -533,7 +551,7 @@ def test_majorants_match_the_loop_reference(dim):
                     g = Germ(anchors, index, blocks, degree)
                     assert math.copysign(1.0, sup) == 1.0
                     assert (sup, dval) == (sup_norm(g), d_norm(g)) == block_majorants(anchors, index, blocks, degree)
-                    assert (sup, dval) == norms_at_index(with_index(g, 12), index)
+                    assert (sup, dval) == norms_at_index(Germ(anchors, 12, blocks, degree), index)
                     assert degree_majorants(g).tobytes() == h.tobytes()
 
 
@@ -676,7 +694,7 @@ def test_the_certified_defect_lives_and_dies_with_its_inverse(monkeypatch):
     assert first._defect[1] is not second._defect[1]
     assert same_bits(first.coeffs, second.coeffs)
     # germs built from an inverse carry no defect
-    assert with_index(first, first.index)._defect is None
+    assert Germ(first.anchors, first.index, first.coeffs, first.degree)._defect is None
     assert (-(-first))._defect is None
 
 

@@ -260,7 +260,7 @@ def test_bracket_slice_on_the_dirichlet_scale():
 
 
 def test_identity_slice_on_the_germ_scale():
-    scale = GermSteps(ORIGIN, degree=6, terms=3)
+    scale = GermSteps(ORIGIN)
     cert = build_certificate([1.0, 1.0, 1.0], 1.0, 0.1, 0.05)
     report = verify_certificate(
         lambda g: g,
@@ -335,6 +335,17 @@ def test_a_cutoff_neither_bracket_decides_is_refused():
     quarter = float((fine_low + fine_high) / 2)
     with pytest.raises(DomainError, match="cannot decide"):
         dirichlet_regularity_modulus(1, 4.0 * quarter, 10)
+
+
+@pytest.mark.parametrize("epsilon", [1e-17, 1e-100])
+def test_a_tiny_epsilon_gets_the_minimal_cutoff(epsilon):
+    # above 2^53 a float 1/(epsilon/4) is off by more than 1, and a scan
+    # started there overshot the minimal cutoff (or, far below it, never ended)
+    mod = dirichlet_regularity_modulus(1, epsilon, 3)
+    # the fine brackets put tail(n0) below epsilon/4 and tail(n0 - 1) above it
+    tail_high = _zeta2_tail_brackets(mod.cutoff)[1][1]
+    tail_before_low = _zeta2_tail_brackets(mod.cutoff - 1)[1][0]
+    assert tail_high < Fraction(epsilon / 4.0) < tail_before_low
 
 
 def test_dirichlet_modulus_at_the_smallest_legal_control_index():
@@ -418,7 +429,6 @@ def test_germ_modulus_frozen_example():
     assert mod.cutoff == 2
     assert mod.delta == 0.0006521253970855437
     assert mod.constant == GERM_CONSTANT
-    assert mod.budget is None
 
 
 def test_germ_modulus_boundary_identity():
@@ -439,19 +449,6 @@ def test_default_budget_tail_matches_the_geometric_closed_form():
         # minimality of the cutoff
         if mod.cutoff > 0:
             assert not 2.0 * GERM_CONSTANT * q**mod.cutoff < mod.epsilon / 2.0
-
-
-def test_explicit_budget_changes_the_cutoff():
-    mod = germ_regularity_modulus(1, 0.5, 6, budget=[1.0, 1.0, 1.0])
-    # tail at k0 = 0 is 1/6 + 1/36 + 1/216 < 1/4 already
-    assert mod.cutoff == 0
-    assert mod.delta == pytest.approx(0.25 / GERM_CONSTANT, rel=1e-15)
-    assert mod.budget == (1.0, 1.0, 1.0)
-
-
-def test_budget_entries_are_capped_at_twice_the_constant():
-    with pytest.raises(DomainError, match="ceiling 2D"):
-        germ_regularity_modulus(1, 0.5, 6, budget=[30.0])
 
 
 def test_germ_modulus_validation():
@@ -497,7 +494,7 @@ def test_germ_checker_gates():
     [
         (MatrixSteps(2), 1),
         (DirichletSteps(2), 3),
-        (GermSteps(ORIGIN, degree=6, terms=3), 2),
+        (GermSteps(ORIGIN), 2),
     ],
     ids=["matrix", "dirichlet", "germ"],
 )
@@ -528,7 +525,7 @@ def test_dirichlet_combine_matches_a_left_fold():
 
 
 def test_germ_combine_matches_a_left_fold():
-    scale = GermSteps(AnchorSet([[0.0], [0.5]]), degree=6, terms=4)
+    scale = GermSteps(AnchorSet([[0.0], [0.5]]))
     rng = np.random.default_rng(14)
     for _ in range(30):
         terms = [scale.random(j, rng, 10.0 ** -j) for j in range(5, 8)]

@@ -4,14 +4,24 @@ import math
 import warnings
 
 import pytest
-from loop_references import reference_complex_normal, same_bits
+from loop_references import random_germ_of_degree, reference_complex_normal, same_bits
 
+from lbcalc import limits
 from lbcalc.errors import ValidationError
-from lbcalc.germs import AnchorSet
+from lbcalc.germs import DEFAULT_DEGREE, AnchorSet
 from lbcalc.limits import DirichletSteps, GermSteps, MatrixSteps
 from lbcalc.sampling import _complex_normal, generator, random_germ, random_matrix, random_series
 
 ORIGIN = AnchorSet.origin(1)
+
+
+def step_draw_with(scale, name, value):
+    """A call drawing one step of `scale` while the constant `name` of lbcalc.limits is `value`."""
+    def call(rng):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(limits, name, value)
+            return scale.random(1, rng, 0.1)
+    return call
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 2), (1, 6), (2, 7), (0, 3)])
@@ -39,6 +49,17 @@ def test_degenerate_targets_are_refused(draw, target):
             calls[draw]()
 
 
+def test_the_germ_draw_of_any_degree_matches_random_germ_at_its_degree():
+    # the tests that sweep degrees draw through random_germ_of_degree
+    anchors = AnchorSet([[0.0, 0.0], [1.0, 1.0]])
+    fast, ref = generator(6), generator(6)
+    for terms in (3, 7, 1000):
+        got = random_germ(fast, anchors, 3, terms=terms)
+        want = random_germ_of_degree(ref, anchors, 3, DEFAULT_DEGREE, terms)
+        assert same_bits(got.coeffs, want.coeffs)
+    assert fast.random() == ref.random()
+
+
 def test_a_zero_target_gives_a_zero_draw():
     rng = generator(8)
     assert not random_matrix(rng, 2, target=0.0).any()
@@ -61,14 +82,9 @@ def test_pools_outside_the_positive_int64_range_are_refused(pool):
     ids=["zero", "huge", "fraction"],
 )
 def test_dirichlet_steps_check_their_pool_once_built(pool):
+    # the scale takes no pool; its draws pass STEP_FREQUENCIES through random_series' check
     with pytest.raises(ValidationError, match="frequency pool"):
-        DirichletSteps(2, freq_pool=pool)
-
-
-def test_dirichlet_steps_sort_and_merge_their_pool():
-    scale = DirichletSteps(2, freq_pool=[5, 3, 3, 1])
-    assert scale.freq_pool.tolist() == [1, 3, 5]
-    assert scale.random(1, generator(3), 0.1).support == 3
+        step_draw_with(DirichletSteps(2), "STEP_FREQUENCIES", pool)(generator(3))
 
 
 @pytest.mark.parametrize(
@@ -83,15 +99,14 @@ def test_dirichlet_steps_sort_and_merge_their_pool():
         lambda rng: random_series(rng, 0, (1, 2, 3), 2),
         lambda rng: MatrixSteps(0),
         lambda rng: DirichletSteps(-1),
-        lambda rng: DirichletSteps(2, terms=0),
-        lambda rng: DirichletSteps(2, freq_pool=(1, 2), terms=3),
-        lambda rng: GermSteps(ORIGIN, degree=0),
-        lambda rng: GermSteps(ORIGIN, terms=0),
+        step_draw_with(DirichletSteps(2), "STEP_SERIES_TERMS", 0),
+        step_draw_with(DirichletSteps(2), "STEP_SERIES_TERMS", limits.STEP_FREQUENCIES.size + 1),
+        step_draw_with(GermSteps(ORIGIN), "STEP_GERM_TERMS", 0),
     ],
     ids=["matrix-dim-0", "matrix-dim-negative", "germ-terms-negative", "germ-terms-0",
          "series-terms-0", "series-terms-above-pool", "series-dim-0", "matrix-steps-dim-0",
          "dirichlet-steps-dim-negative", "dirichlet-steps-terms-0", "dirichlet-steps-terms-above-pool",
-         "germ-steps-degree-0", "germ-steps-terms-0"],
+         "germ-steps-terms-0"],
 )
 def test_degenerate_sizes_are_refused(call):
     with pytest.raises(ValidationError):
